@@ -117,21 +117,21 @@ type Node struct {
 	connected bool
 	lastErr   error
 	// lastServer is the identity of the server the last committed sync
-	// came from (v2 sessions only). Generation counters are per-server,
-	// so the stale-generation guard is suspended until the first commit
-	// on a *different* server — re-homing onto a ring successor adopts
-	// its catalog whatever its generation counter says.
+	// came from. Generation counters are per-server, so the
+	// stale-generation guard is suspended until the first commit on a
+	// *different* server — re-homing onto a ring successor adopts its
+	// catalog whatever its generation counter says.
 	lastServer string
 	// relayNext is the node's cumulative telemetry relay sequence: events
-	// committed out of the relay buffer so far. v2 batches carry it so
+	// committed out of the relay buffer so far. Batches carry it so
 	// the aggregation point can dedupe re-sends after a shard death.
 	relayNext uint64
-	// inflight is the size of the one unacknowledged v2 batch (0 when the
+	// inflight is the size of the one unacknowledged batch (0 when the
 	// relay pipe is idle). The single-batch window keeps the peek/commit
 	// bookkeeping trivial; the ack turnaround, not batching depth, paces
 	// the relay.
 	inflight int
-	// smap is the latest shard-map gossip received (v2), newest epoch wins.
+	// smap is the latest shard-map gossip received, newest epoch wins.
 	smap   ShardMap
 	smapOK bool
 
@@ -363,13 +363,44 @@ func (n *Node) run() {
 	}
 }
 
+// clientHandshake is the client side of session setup, shared by nodes and
+// shard relays: send hello as id, read the reply within timeout (the only
+// read outside a session's read loop), and decode the hello-ack. A
+// msgError reply is the server's rejection.
+func clientHandshake(conn net.Conn, id string, timeout time.Duration) (serverID string, m Manifest, err error) {
+	if err := writeFrame(conn, msgHello, encodeHello(id)); err != nil {
+		return "", Manifest{}, err
+	}
+	conn.SetReadDeadline(time.Now().Add(timeout))
+	f, err := readFrame(conn)
+	conn.SetReadDeadline(time.Time{})
+	if err != nil {
+		return "", Manifest{}, err
+	}
+	if f.typ == msgError {
+		r := &wireReader{b: f.payload}
+		msg, _ := r.str()
+		return "", Manifest{}, errProto("server rejected session: %s", msg)
+	}
+	if f.typ != msgHelloAck {
+		return "", Manifest{}, errProto("expected hello-ack, got %s", msgName(f.typ))
+	}
+	proto, serverID, m, err := decodeHelloAck(f.payload)
+	if err != nil {
+		return "", Manifest{}, err
+	}
+	if proto != ProtoVersion {
+		return "", Manifest{}, errProto("server answered protocol %d (this build speaks %d)", proto, ProtoVersion)
+	}
+	return serverID, m, nil
+}
+
 // session is one connected epoch: handshake, initial sync, then serve
 // push notices and relay telemetry until the connection dies.
 type session struct {
 	node     *Node
 	conn     net.Conn
-	proto    byte   // negotiated protocol version
-	serverID string // v2: the server's identity from the HelloAck
+	serverID string // the server's identity from the HelloAck
 	writeMu  sync.Mutex
 	frames   chan frame
 	readErr  error
@@ -411,35 +442,10 @@ func (n *Node) session(raw net.Conn) error {
 			}
 		}
 	}()
-	if err := s.write(msgHello, encodeHello(n.cfg.ID)); err != nil {
-		return err
-	}
-	// The handshake is the only read outside the read loop; bound it.
-	raw.SetReadDeadline(time.Now().Add(n.cfg.ReadTimeout))
-	f, err := readFrame(conn)
-	raw.SetReadDeadline(time.Time{})
+	serverID, manifest, err := clientHandshake(conn, n.cfg.ID, n.cfg.ReadTimeout)
 	if err != nil {
 		return err
 	}
-	if f.typ == msgError {
-		r := &wireReader{b: f.payload}
-		msg, _ := r.str()
-		return errProto("server rejected session: %s", msg)
-	}
-	if f.typ != msgHelloAck {
-		return errProto("expected hello-ack, got %s", msgName(f.typ))
-	}
-	proto, serverID, manifest, err := decodeHelloAck(f.payload)
-	if err != nil {
-		return err
-	}
-	// The server answers with the negotiated version — at most what we
-	// advertised. A v1 server echoes 1 and the session simply runs the v1
-	// protocol (telemetry committed on write, no shard frames).
-	if proto < ProtoV1 || proto > ProtoVersion {
-		return errProto("server negotiated protocol %d (node speaks %d..%d)", proto, ProtoV1, ProtoVersion)
-	}
-	s.proto = proto
 	s.serverID = serverID
 	n.mu.Lock()
 	n.connected = true
@@ -817,38 +823,15 @@ func (s *session) await(want byte) (frame, error) {
 	}
 }
 
+// flushTelemetry ships at most one sequence-numbered batch and leaves it
+// in the buffer until the server's telemetry-ack arrives (handleAck
+// commits and immediately re-flushes). Committing on an explicit
+// end-to-end ack rather than on write success is what makes the
+// accounting exact through a *shard* death: a shard that dies holding
+// our batch never acked it, so the batch is re-sent — at the same
+// sequence — to the ring successor, and the aggregator dedupes any
+// double delivery.
 func (s *session) flushTelemetry() {
-	if s.proto >= 2 {
-		s.flushTelemetryV2()
-		return
-	}
-	for {
-		// v1 peek/commit: events leave the buffer only after the wire
-		// write succeeded, so a session dying mid-flush loses nothing —
-		// the next session re-sends the same batch.
-		n := s.node.buf.PeekBatchInto(s.telScratch[:])
-		if n == 0 {
-			return
-		}
-		payload, err := telemetry.EncodeBatch(s.telScratch[:n])
-		if err == nil {
-			err = s.write(msgTelemetry, payload)
-		}
-		if err != nil {
-			return
-		}
-		s.node.buf.Commit(n)
-	}
-}
-
-// flushTelemetryV2 ships at most one sequence-numbered batch and leaves
-// it in the buffer until the server's telemetry-ack arrives (handleAck
-// commits and immediately re-flushes). Stretching the v1 write-success
-// commit to an explicit end-to-end ack is what makes the accounting
-// exact through a *shard* death: a shard that dies holding our batch
-// never acked it, so the batch is re-sent — at the same sequence — to
-// the ring successor, and the aggregator dedupes any double delivery.
-func (s *session) flushTelemetryV2() {
 	node := s.node
 	node.mu.Lock()
 	if node.inflight > 0 {
@@ -868,7 +851,7 @@ func (s *session) flushTelemetryV2() {
 	node.mu.Unlock()
 	payload, err := telemetry.EncodeBatch(s.telScratch[:cnt])
 	if err == nil {
-		err = s.write(msgTelemetry, encodeTelemetryV2(first, payload))
+		err = s.write(msgTelemetry, encodeTelemetry(first, payload))
 	}
 	if err != nil {
 		node.mu.Lock()
@@ -912,12 +895,11 @@ func (s *session) sync(m Manifest) error {
 	//
 	// Generation counters are per-server, so the guard only applies while
 	// talking to the server the committed catalog came from. A re-homed
-	// node (shard failover, v2 serverID differs) adopts the successor's
+	// node (shard failover, serverID differs) adopts the successor's
 	// catalog whatever its counter says; content digests, not generations,
 	// are the cross-shard convergence check.
 	n.mu.Lock()
-	sameServer := s.proto < 2 || n.lastServer == s.serverID
-	if n.synced && sameServer && m.Gen < n.last.Gen {
+	if n.synced && n.lastServer == s.serverID && m.Gen < n.last.Gen {
 		have := n.last.Gen
 		n.mu.Unlock()
 		n.stale.Add(1)
@@ -1062,9 +1044,7 @@ func (s *session) sync(m Manifest) error {
 	}
 	n.last = m
 	n.synced = true
-	if s.proto >= 2 {
-		n.lastServer = s.serverID
-	}
+	n.lastServer = s.serverID
 	n.mu.Unlock()
 	n.syncs.Add(1)
 	n.logf("fleet: node %q: synced catalog gen %d (%d views, digest %s)", n.cfg.ID, m.Gen, len(m.Views), m.DigestString())

@@ -41,17 +41,14 @@ import (
 	"time"
 )
 
-// ProtoVersion is the highest wire protocol version this build speaks.
-// The Hello carries the client's version; the server answers HelloAck
-// with the negotiated session version, min(client, server), so v1 nodes
-// keep working against v2 servers unchanged (they never see a v2-only
-// frame). v2 adds shard-map gossip, sequence-numbered telemetry with
-// deferred acknowledgement, and shard→aggregator relay.
+// ProtoVersion is the wire protocol version this build speaks, and the
+// only one it accepts. The Hello carries the client's version; the server
+// rejects anything older and answers HelloAck with ProtoVersion, so a
+// newer client runs its session at this version. Version 2 carries
+// shard-map gossip, sequence-numbered telemetry with deferred
+// acknowledgement, shard→aggregator relay and live migration; version 1
+// (unsequenced telemetry, committed on write) is no longer served.
 const ProtoVersion = 2
-
-// ProtoV1 is the original protocol: unsequenced telemetry (commit on
-// write), no shard frames. Still fully served.
-const ProtoV1 = 1
 
 // BackoffConfig shapes a node's reconnect schedule: exponential from Base
 // to Max with uniform jitter in [0, step) added to each delay, so a fleet

@@ -539,39 +539,41 @@ func TestFleetSoak(t *testing.T) {
 }
 
 // TestServerRejectsProtocolMismatch covers the version gate: a client
-// below the protocol floor is rejected; a client advertising a *future*
-// version is negotiated down to the server's version, not rejected —
-// that is what lets v2 nodes roll out against v1 servers and vice versa.
+// below ProtoVersion — including a protocol-1 node — is rejected; a
+// client advertising a *future* version is answered with the server's
+// version, not rejected, so newer nodes can roll out against it.
 func TestServerRejectsProtocolMismatch(t *testing.T) {
 	srv := NewServer(ServerConfig{})
 
+	for _, proto := range []byte{0, 1} {
+		c, s := net.Pipe()
+		done := make(chan struct{})
+		go func() { srv.ServeConn(s); close(done) }()
+		bad := encodeHello("old-node")
+		bad[0] = proto
+		if err := writeFrame(c, msgHello, bad); err != nil {
+			t.Fatal(err)
+		}
+		f, err := readFrame(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.typ != msgError {
+			t.Fatalf("proto %d: got %s, want error", proto, msgName(f.typ))
+		}
+		<-done
+		c.Close()
+	}
+
 	c, s := net.Pipe()
 	done := make(chan struct{})
-	go func() { srv.ServeConn(s); close(done) }()
-	bad := encodeHello("old-node")
-	bad[0] = 0 // below the v1 floor
-	if err := writeFrame(c, msgHello, bad); err != nil {
-		t.Fatal(err)
-	}
-	f, err := readFrame(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.typ != msgError {
-		t.Fatalf("got %s, want error", msgName(f.typ))
-	}
-	<-done
-	c.Close()
-
-	c, s = net.Pipe()
-	done = make(chan struct{})
 	go func() { srv.ServeConn(s); close(done) }()
 	future := encodeHello("new-node")
 	future[0] = ProtoVersion + 1
 	if err := writeFrame(c, msgHello, future); err != nil {
 		t.Fatal(err)
 	}
-	f, err = readFrame(c)
+	f, err := readFrame(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -622,7 +624,7 @@ func TestBackoffResetsOnlyAfterCompleteSync(t *testing.T) {
 				if _, err := readFrame(s); err != nil {
 					return
 				}
-				writeFrame(s, msgHelloAck, encodeHelloAck(ProtoVersion, "flappy", man))
+				writeFrame(s, msgHelloAck, encodeHelloAck("flappy", man))
 			}()
 			return c, nil
 		case 1:

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"encoding/hex"
-	"net"
 	"testing"
 )
 
@@ -117,71 +116,4 @@ func FuzzMigrateWire(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestV1ClientMigrateRefusal hand-speaks protocol v1 and pokes the
-// migration frame types at a v2 server. The compatibility contract: the
-// server answers each with a non-terminal msgError and the session keeps
-// working — proven by a successful catalog fetch afterwards.
-func TestV1ClientMigrateRefusal(t *testing.T) {
-	srv := NewServer(ServerConfig{ID: "srv"})
-	if err := srv.Publish(testView("apache", 40, 0)); err != nil {
-		t.Fatal(err)
-	}
-
-	c, s := net.Pipe()
-	done := make(chan struct{})
-	go func() { srv.ServeConn(s); close(done) }()
-	defer func() { c.Close(); <-done }()
-
-	hello := append([]byte{ProtoV1}, appendStr(nil, "old-node")...)
-	if err := writeFrame(c, msgHello, hello); err != nil {
-		t.Fatal(err)
-	}
-	f, err := readFrame(c)
-	if err != nil || f.typ != msgHelloAck {
-		t.Fatalf("hello-ack: %v %v", f.typ, err)
-	}
-	if f.payload[0] != ProtoV1 {
-		t.Fatalf("negotiated version %d, want %d", f.payload[0], ProtoV1)
-	}
-
-	wantRefusal := "migration requires protocol v2 (session continues)"
-	for _, probe := range []struct {
-		name    string
-		typ     byte
-		payload []byte
-	}{
-		{"offer", msgMigrateOffer, encodeMigrateOffer(1, "apache", "elsewhere")},
-		{"state", msgMigrateState, encodeMigrateState(1, Hash{}, []byte("img"))},
-		{"ack", msgMigrateAck, encodeMigrateAck(1, "apache", true, 0, 0, "")},
-	} {
-		if err := writeFrame(c, probe.typ, probe.payload); err != nil {
-			t.Fatalf("%s: %v", probe.name, err)
-		}
-		f, err := readFrame(c)
-		if err != nil {
-			t.Fatalf("%s: session died instead of refusing: %v", probe.name, err)
-		}
-		if f.typ != msgError {
-			t.Fatalf("%s: got %s, want non-terminal error", probe.name, msgName(f.typ))
-		}
-		r := &wireReader{b: f.payload}
-		msg, _ := r.str()
-		if msg != wantRefusal {
-			t.Fatalf("%s: refusal %q, want %q", probe.name, msg, wantRefusal)
-		}
-	}
-
-	// The session must have survived all three refusals.
-	if err := writeFrame(c, msgGetCatalog, nil); err != nil {
-		t.Fatal(err)
-	}
-	f, err = readFrame(c)
-	if err != nil || f.typ != msgCatalog {
-		t.Fatalf("session dead after refusals: typ=%v err=%v", f.typ, err)
-	}
-	if got := srv.v1Sessions.Load(); got != 1 {
-		t.Fatalf("v1Sessions counter %d, want 1", got)
-	}
 }

@@ -18,14 +18,13 @@ import (
 // aggregator shard. first is the node's cumulative relay sequence of the
 // batch's first event; ack must be called once the batch is durably
 // relayed — it sends the deferred telemetry acknowledgement that lets
-// the node commit its buffer. Only protocol-v2 sessions are relayed (v1
-// batches carry no sequence and land in the local hub only).
+// the node commit its buffer.
 type RelayFunc func(nodeID string, first uint64, evs []telemetry.Event, ack func())
 
 // ServerConfig parameterizes a control-plane server.
 type ServerConfig struct {
-	// ID identifies this server to v2 clients (the HelloAck carries it so
-	// a re-homing node can tell shards apart). Default "server".
+	// ID identifies this server to clients (the HelloAck carries it so a
+	// re-homing node can tell shards apart). Default "server".
 	ID string
 	// Catalog is the canonical view catalog (a fresh one when nil).
 	Catalog *Catalog
@@ -34,10 +33,10 @@ type ServerConfig struct {
 	// (or, on a shard member, the shard-local one).
 	Hub *telemetry.Hub
 	// ShardMap, when non-nil, marks this server as part of a sharded
-	// plane: the current map is pushed to every v2 session right after
-	// the handshake, and again via PushShardMap whenever it changes.
+	// plane: the current map is pushed to every session right after the
+	// handshake, and again via PushShardMap whenever it changes.
 	ShardMap func() ShardMap
-	// Relay, when non-nil, forwards v2 node batches toward the aggregator
+	// Relay, when non-nil, forwards node batches toward the aggregator
 	// shard and owns the deferred acknowledgement. When nil, batches are
 	// final here (this server *is* the aggregation point, or a standalone
 	// plane) and are acked as soon as the hub has them.
@@ -61,6 +60,9 @@ type Server struct {
 	// node re-sending an unacknowledged batch after a shard death must
 	// not be double-counted at the aggregation point.
 	seqs *telemetry.SeqTracker
+	// intakeMu serializes intake: every session goroutine replays into the
+	// same hub, whose rings take one producer at a time.
+	intakeMu sync.Mutex
 
 	mu    sync.Mutex
 	conns map[*serverConn]struct{}
@@ -76,7 +78,6 @@ type Server struct {
 	batches       atomic.Uint64
 	sessions      atomic.Uint64
 	relayBatches  atomic.Uint64
-	v1Sessions    atomic.Uint64
 	migrations    atomic.Uint64
 	migrateFails  atomic.Uint64
 }
@@ -104,7 +105,7 @@ func NewServer(cfg ServerConfig) *Server {
 	}
 }
 
-// ID returns the server's identity as carried in v2 HelloAcks.
+// ID returns the server's identity as carried in HelloAcks.
 func (s *Server) ID() string { return s.id }
 
 // Catalog returns the server's catalog.
@@ -141,9 +142,9 @@ func (s *Server) notifyAll(gen uint64) {
 	}
 }
 
-// PushShardMap pushes the current shard map to every connected v2
-// session (a no-op without a ShardMap provider). Call after the plane's
-// topology changes — a shard death, a new shard joining.
+// PushShardMap pushes the current shard map to every connected session
+// (a no-op without a ShardMap provider). Call after the plane's topology
+// changes — a shard death, a new shard joining.
 func (s *Server) PushShardMap() {
 	if s.shardMap == nil {
 		return
@@ -152,9 +153,7 @@ func (s *Server) PushShardMap() {
 	s.mu.Lock()
 	conns := make([]*serverConn, 0, len(s.conns))
 	for c := range s.conns {
-		if c.proto >= 2 {
-			conns = append(conns, c)
-		}
+		conns = append(conns, c)
 	}
 	s.mu.Unlock()
 	for _, c := range conns {
@@ -203,7 +202,7 @@ type MigrateResult struct {
 // transfer, import on the target, then the commit directive back to the
 // source (which unloads) — or, on any failure or timeout past the
 // checkpoint, an abort directive (the source thaws, restoring its state
-// exactly). Both endpoints must be connected v2 sessions on this server;
+// exactly). Both endpoints must be connected sessions on this server;
 // cross-shard moves compose RequestExport/DeliverImport/SignalOutcome
 // across servers instead.
 func (s *Server) Migrate(app, src, dst string, timeout time.Duration) (*MigrateResult, error) {
@@ -242,9 +241,6 @@ func (s *Server) RequestExport(app, src, dst string, timeout time.Duration) (req
 	if c == nil {
 		return 0, nil, fmt.Errorf("fleet: migrate %q: source node %q not connected", app, src)
 	}
-	if c.proto < 2 {
-		return 0, nil, fmt.Errorf("fleet: migrate %q: source node %q negotiated protocol v1 (migration needs v2)", app, src)
-	}
 	req = s.migrateReq.Add(1)
 	f, err := c.roundTrip(req, msgMigrateOffer, encodeMigrateOffer(req, app, dst), timeout)
 	if err != nil {
@@ -273,9 +269,6 @@ func (s *Server) DeliverImport(req uint64, app, dst string, img []byte, timeout 
 	if c == nil {
 		return 0, 0, fmt.Errorf("fleet: migrate %q: target node %q not connected", app, dst)
 	}
-	if c.proto < 2 {
-		return 0, 0, fmt.Errorf("fleet: migrate %q: target node %q negotiated protocol v1 (migration needs v2)", app, dst)
-	}
 	f, err := c.roundTrip(req, msgMigrateState, encodeMigrateState(req, sha256.Sum256(img), img), timeout)
 	if err != nil {
 		return 0, 0, fmt.Errorf("fleet: migrate %q: import on %q: %w", app, dst, err)
@@ -298,7 +291,7 @@ func (s *Server) DeliverImport(req uint64, app, dst string, img []byte, timeout 
 // any frozen state.
 func (s *Server) SignalOutcome(req uint64, app, src string, ok bool, detail string) {
 	c := s.connFor(src)
-	if c == nil || c.proto < 2 {
+	if c == nil {
 		return
 	}
 	_ = c.write(msgMigrateAck, encodeMigrateAck(req, app, ok, 0, 0, detail))
@@ -346,12 +339,12 @@ func (s *Server) ServeConn(conn net.Conn) {
 		c.notify(gen)
 	}
 
-	// Topology gossip: any single live seed teaches a v2 node the plane.
+	// Topology gossip: any single live seed teaches a node the plane.
 	// Pushed only after the conn is registered, so a concurrent
 	// PushShardMap (a shard death racing this handshake) can never fall
 	// between the two and leave the node with a stale epoch — it either
 	// lands here or in the broadcast, and the client keeps the newest.
-	if c.proto >= 2 && s.shardMap != nil {
+	if s.shardMap != nil {
 		if err := c.write(msgShardMap, encodeShardMap(s.shardMap())); err != nil {
 			s.mu.Lock()
 			delete(s.conns, c)
@@ -399,7 +392,6 @@ func (s *Server) WriteMetrics(w *telemetry.Writer) {
 	w.Counter("facechange_fleet_relay_batches_total", "shard-to-shard relay batches accepted", float64(s.relayBatches.Load()))
 	w.Counter("facechange_fleet_telemetry_dup_events_total", "re-sent telemetry events deduplicated", float64(s.seqs.Dups()))
 	w.Counter("facechange_fleet_telemetry_gap_events_total", "telemetry sequence holes (events lost upstream)", float64(s.seqs.Gaps()))
-	w.Counter("facechange_fleet_v1_sessions_total", "sessions negotiated down to protocol v1", float64(s.v1Sessions.Load()))
 	w.Counter("facechange_fleet_migrations_total", "live migrations committed", float64(s.migrations.Load()))
 	w.Counter("facechange_fleet_migrate_failures_total", "live migrations aborted", float64(s.migrateFails.Load()))
 }
@@ -409,8 +401,10 @@ type serverConn struct {
 	srv    *Server
 	conn   net.Conn
 	nodeID string
-	proto  byte   // negotiated session version
 	ackGen uint64 // catalog generation snapshotted into the HelloAck
+	// relayed counts relay frames admitted on this session (read loop
+	// only); each is acknowledged with the running count.
+	relayed uint64
 
 	writeMu sync.Mutex
 	updates chan uint64
@@ -492,10 +486,10 @@ func (c *serverConn) notify(gen uint64) {
 	}
 }
 
-// handshake expects Hello and answers HelloAck carrying the negotiated
+// handshake expects Hello and answers HelloAck carrying the session
 // version and the full manifest (saving the common case a round trip).
-// The session runs at min(client, server) version: a v1 node gets a
-// byte-identical v1 session; only versions below v1 are rejected.
+// A node advertising a newer version runs the session at ProtoVersion;
+// older versions are rejected.
 func (c *serverConn) handshake() error {
 	f, err := readFrame(c.conn)
 	if err != nil {
@@ -508,30 +502,24 @@ func (c *serverConn) handshake() error {
 	if err != nil {
 		return err
 	}
-	if proto < ProtoV1 {
-		_ = c.write(msgError, appendStr(nil, errProto("protocol version %d unsupported (server speaks %d..%d)", proto, ProtoV1, ProtoVersion).Error()))
+	if proto < ProtoVersion {
+		_ = c.write(msgError, appendStr(nil, errProto("protocol version %d unsupported (server speaks %d)", proto, ProtoVersion).Error()))
 		return errProto("node %q speaks protocol %d", nodeID, proto)
-	}
-	c.proto = proto
-	if c.proto > ProtoVersion {
-		c.proto = ProtoVersion
-	}
-	if c.proto == ProtoV1 {
-		c.srv.v1Sessions.Add(1)
 	}
 	c.nodeID = nodeID
 	m := c.srv.catalog.Manifest()
 	c.ackGen = m.Gen
-	return c.write(msgHelloAck, encodeHelloAck(c.proto, c.srv.id, m))
+	return c.write(msgHelloAck, encodeHelloAck(c.srv.id, m))
 }
 
-// handleTelemetryV2 processes one sequence-numbered node batch. The
+// handleTelemetry processes one sequence-numbered node batch. The
 // acknowledgement that lets the node commit is deferred until the batch
 // is durable at its final hop: immediately when this server is the
 // aggregation point (no Relay configured), or once the relay has
-// committed the batch upstream.
-func (c *serverConn) handleTelemetryV2(payload []byte) error {
-	first, batch, err := decodeTelemetryV2(payload)
+// committed the batch upstream. On a relaying shard the local hub is an
+// observability tee; the lossless stream is the relay.
+func (c *serverConn) handleTelemetry(payload []byte) error {
+	first, batch, err := decodeTelemetry(payload)
 	if err != nil {
 		return err
 	}
@@ -540,38 +528,34 @@ func (c *serverConn) handleTelemetryV2(payload []byte) error {
 		return err
 	}
 	c.srv.batches.Add(1)
+	c.srv.intake(c.nodeID, first, evs)
 	upTo := first + uint64(len(evs))
 	ack := func() { _ = c.write(msgTelemetryAck, encodeTelemetryAck(upTo)) }
 	if c.srv.relay != nil {
-		// Shard-local flow first (the local hub is an observability tee;
-		// the lossless stream is the relay), then hand off. The relay owns
-		// the ack. Local replay dedupes independently so a re-sent batch
-		// is not double-counted in shard metrics either.
-		if c.srv.hub != nil {
-			if skip := c.srv.seqs.Admit(c.nodeID, first, len(evs)); skip < len(evs) {
-				c.srv.eventsRelayed.Add(uint64(len(evs) - skip))
-				telemetry.ReplayInto(c.srv.hub, c.nodeID, evs[skip:])
-			}
-		}
 		c.srv.relay(c.nodeID, first, evs, ack)
 		return nil
 	}
-	c.acceptBatch(c.nodeID, first, evs)
 	ack()
 	return nil
 }
 
-// acceptBatch is the aggregation point's intake: dedupe against the
-// node's cumulative sequence, count, and replay the fresh suffix into
-// the hub stamped with the origin node's identity.
-func (c *serverConn) acceptBatch(node string, first uint64, evs []telemetry.Event) {
-	skip := c.srv.seqs.Admit(node, first, len(evs))
+// intake is the server's one telemetry entry point, for node batches and
+// shard relays alike: dedupe against the node's cumulative sequence,
+// count, and replay the fresh suffix into the hub stamped with the origin
+// node's identity. One lock spans all three, so concurrent sessions never
+// push into the hub's single-producer rings at once, and each node's
+// events reach the hub in sequence order. Hub.Emit never blocks, so the
+// lock is held only for the copy into the rings.
+func (s *Server) intake(node string, first uint64, evs []telemetry.Event) {
+	s.intakeMu.Lock()
+	defer s.intakeMu.Unlock()
+	skip := s.seqs.Admit(node, first, len(evs))
 	if skip >= len(evs) {
 		return
 	}
-	c.srv.eventsRelayed.Add(uint64(len(evs) - skip))
-	if c.srv.hub != nil {
-		telemetry.ReplayInto(c.srv.hub, node, evs[skip:])
+	s.eventsRelayed.Add(uint64(len(evs) - skip))
+	if s.hub != nil {
+		telemetry.ReplayInto(s.hub, node, evs[skip:])
 	}
 }
 
@@ -607,34 +591,12 @@ func (c *serverConn) readLoop() error {
 				return err
 			}
 		case msgTelemetry:
-			if c.proto >= 2 {
-				if err := c.handleTelemetryV2(f.payload); err != nil {
-					return err
-				}
-				continue
-			}
-			// v1: bare JSON batch, committed by the node on write — final
-			// here, replayed into the local hub, never relayed onward
-			// (there is no sequence to dedupe a re-send with).
-			evs, err := telemetry.DecodeBatch(f.payload)
-			if err != nil {
+			if err := c.handleTelemetry(f.payload); err != nil {
 				return err
-			}
-			c.srv.batches.Add(1)
-			c.srv.eventsRelayed.Add(uint64(len(evs)))
-			if c.srv.hub != nil {
-				telemetry.ReplayInto(c.srv.hub, c.nodeID, evs)
 			}
 		case msgMigrateState, msgMigrateAck:
 			// Replies to server-initiated migrate pushes: route to the
-			// orchestration waiting on the exchange id. A v1 client
-			// hand-speaking one gets a graceful, non-terminal refusal.
-			if c.proto < 2 {
-				if werr := c.write(msgError, appendStr(nil, "migration requires protocol v2 (session continues)")); werr != nil {
-					return werr
-				}
-				continue
-			}
+			// orchestration waiting on the exchange id.
 			if len(f.payload) < 8 {
 				return errProto("truncated %s from node %q", msgName(f.typ), c.nodeID)
 			}
@@ -649,14 +611,7 @@ func (c *serverConn) readLoop() error {
 			// No waiter: a stale reply after the orchestration timed out —
 			// dropped; the source's abort directive handles the rest.
 		case msgMigrateOffer:
-			// Offers only flow server→node. A v1 client probing gets the
-			// same graceful refusal; a v2 client sending one is broken.
-			if c.proto < 2 {
-				if werr := c.write(msgError, appendStr(nil, "migration requires protocol v2 (session continues)")); werr != nil {
-					return werr
-				}
-				continue
-			}
+			// Offers only flow server→node; a client sending one is broken.
 			return errProto("unexpected migrate-offer from node %q", c.nodeID)
 		case msgRelay:
 			// Shard→aggregator forwarding: a peer shard relays one of its
@@ -670,7 +625,13 @@ func (c *serverConn) readLoop() error {
 				return err
 			}
 			c.srv.relayBatches.Add(1)
-			c.acceptBatch(node, first, evs)
+			c.srv.intake(node, first, evs)
+			// Acknowledge only after intake: the relaying shard commits
+			// the batch, and acks its node, once it is in the hub.
+			c.relayed++
+			if err := c.write(msgTelemetryAck, encodeTelemetryAck(c.relayed)); err != nil {
+				return err
+			}
 		default:
 			return errProto("unexpected %s from node %q", msgName(f.typ), c.nodeID)
 		}

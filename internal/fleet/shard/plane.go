@@ -273,6 +273,9 @@ func (p *Plane) Publish(v *kview.View) error {
 
 // publishSerialized routes one publish. Callers hold p.pubMu.
 func (p *Plane) publishSerialized(v *kview.View, d fleet.Hash) error {
+	p.mu.Lock()
+	prev, had := p.published[v.App]
+	p.mu.Unlock()
 	for {
 		p.mu.Lock()
 		if p.closed {
@@ -281,18 +284,27 @@ func (p *Plane) publishSerialized(v *kview.View, d fleet.Hash) error {
 		}
 		owner := p.ring.OwnerDigest(d)
 		m := p.members[owner]
-		p.mu.Unlock()
 		if m == nil {
+			p.mu.Unlock()
 			return errShard("no live shard owns view %q", v.App)
 		}
+		// Mark the version current before the owner has it: a peer's
+		// mirror may sync the owner's new manifest before Publish
+		// returns, and its stale-echo gate must already let it through.
+		p.published[v.App] = pubView{cfg: v, digest: d}
+		p.mu.Unlock()
 		if err := m.srv.Publish(v); err != nil {
+			p.mu.Lock()
+			if had {
+				p.published[v.App] = prev
+			} else {
+				delete(p.published, v.App)
+			}
+			p.mu.Unlock()
 			return err
 		}
 		p.mu.Lock()
 		dead := p.killed[owner]
-		if !dead {
-			p.published[v.App] = pubView{cfg: v, digest: d}
-		}
 		p.mu.Unlock()
 		if !dead {
 			return nil
@@ -302,16 +314,22 @@ func (p *Plane) publishSerialized(v *kview.View, d fleet.Hash) error {
 	}
 }
 
-// isCurrent reports whether digest d is the plane's current published
-// version of a view — the gate that keeps the mirror mesh loop-free: a
-// member lagging behind re-exposes old versions in its manifest, and
-// without the gate a peer would re-publish them over its newer copy
-// (content-addressed ownership carries no ordering of its own).
-func (p *Plane) isCurrent(name string, d fleet.Hash) bool {
+// publishIfCurrent re-publishes a mirrored view on member m only if d is
+// the plane's current published version of it — the gate that keeps the
+// mirror mesh loop-free: a member lagging behind re-exposes old versions
+// in its manifest, and without the gate a peer would re-publish them over
+// its newer copy (content-addressed ownership carries no ordering of its
+// own). The check and the publish run under one lock, and
+// publishSerialized marks a new version current under it before the
+// owner has the version, so a mirror cannot pass the check with a
+// version that a newer publish then supersedes and overwrite it.
+func (p *Plane) publishIfCurrent(m *Member, v *kview.View, d fleet.Hash) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	pv, ok := p.published[name]
-	return ok && pv.digest == d
+	if pv, ok := p.published[v.App]; !ok || pv.digest != d {
+		return nil
+	}
+	return m.srv.Publish(v)
 }
 
 // Digest returns the expected catalog content digest: what every live
@@ -662,10 +680,7 @@ func (m *Member) newMirror(peer string) *fleet.Node {
 				// Stale-echo gate: only the plane's current version of a
 				// view propagates; an old version surfacing from a lagging
 				// peer's manifest is dropped, never re-published.
-				if !m.plane.isCurrent(v.App, man.Views[i].Digest) {
-					continue
-				}
-				if err := m.srv.Publish(v); err != nil {
+				if err := m.plane.publishIfCurrent(m, v, man.Views[i].Digest); err != nil {
 					return err
 				}
 			}
@@ -702,7 +717,7 @@ func (m *Member) dialIn() (net.Conn, error) {
 
 // relayLoop drains the shard's relay queue into the aggregator,
 // committing (and thereby firing the deferred node acks) only after the
-// whole peeked run was written upstream. A dead relay conn is replaced
+// aggregator admitted the whole peeked run. A dead relay conn is replaced
 // with backoff; unacknowledged batches stay queued and are re-sent, and
 // the aggregator's sequence dedup absorbs the overlap.
 func (m *Member) relayLoop() {

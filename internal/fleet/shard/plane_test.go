@@ -230,13 +230,9 @@ func TestPlaneTelemetryRelay(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	for hub.Pending() > 0 || hub.Emitted() < emitN {
-		if time.Now().After(deadline) {
-			break
-		}
-		hub.Drain()
-		time.Sleep(time.Millisecond)
-	}
+	// An empty node buffer means every batch was acknowledged, and the
+	// leaf acknowledges only what the aggregator admitted; Drain then
+	// delivers it all.
 	hub.Drain()
 	if got := hub.Emitted(); got != emitN {
 		t.Fatalf("aggregator hub emitted %d events, want %d", got, emitN)

@@ -179,9 +179,9 @@ func TestShardSoak(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	for hub.Pending() > 0 {
-		hub.Drain()
-	}
+	// Barrier: Drain waits out any round the background consumer is still
+	// delivering, then delivers the rest.
+	hub.Drain()
 
 	// Exact accounting: every event exactly once, per node and in total.
 	const total = nodes * eventsPer

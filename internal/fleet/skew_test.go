@@ -50,7 +50,7 @@ func (s *scriptServer) run(initial Manifest) {
 	if !ok || f.typ != msgHello {
 		return
 	}
-	if err := writeFrame(s.conn, msgHelloAck, encodeHelloAck(ProtoV1, "", initial)); err != nil {
+	if err := writeFrame(s.conn, msgHelloAck, encodeHelloAck("script", initial)); err != nil {
 		return
 	}
 	for {

@@ -20,24 +20,23 @@ import (
 // spare).
 const maxFrame = 16 << 20
 
-// Message types. Client→server: hello, getCatalog, want, telemetry.
-// Server→client: helloAck, catalog (response and hot-push), chunks,
-// update (generation notice), errorMsg (terminal).
+// Message types. Client→server: hello, getCatalog, want, telemetry
+// (sequence-numbered batches). Server→client: helloAck, catalog
+// (response and hot-push), chunks, update (generation notice), errorMsg
+// (terminal).
 //
-// Protocol v2 adds: shardMap (server→client topology gossip, pushed
-// after the handshake and on change), telemetryAck (server→client
-// cumulative acknowledgement of relayed telemetry, making the node's
-// peek/commit span the whole shard→aggregator path), and relay
-// (shard→aggregator forwarding of a node batch, origin identity and
-// sequence preserved). v1 sessions never see any of the three.
+// Sharding adds: shardMap (server→client topology gossip, pushed after
+// the handshake and on change), telemetryAck (server→client cumulative
+// acknowledgement of relayed telemetry, making the node's peek/commit
+// span the whole shard→aggregator path), and relay (shard→aggregator
+// forwarding of a node batch, origin identity and sequence preserved;
+// the aggregator answers each with a telemetryAck once admitted).
 //
-// Live migration (also v2-only) adds three frames: migrateOffer
-// (server→source node: checkpoint an app), migrateState (source→server:
-// the canonical image, digest-pinned; and server→target: deliver it),
-// migrateAck (target→server: import verdict; server→source: the
-// commit-or-abort directive). A v1 session never sees a migrate push,
-// and a v1 client hand-speaking a migrate frame gets a non-terminal
-// msgError refusal — the session itself survives.
+// Live migration adds three frames: migrateOffer (server→source node:
+// checkpoint an app), migrateState (source→server: the canonical image,
+// digest-pinned; and server→target: deliver it), migrateAck
+// (target→server: import verdict; server→source: the commit-or-abort
+// directive).
 const (
 	msgHello        = 0x01
 	msgHelloAck     = 0x02
@@ -241,19 +240,14 @@ func decodeHello(p []byte) (proto byte, nodeID string, err error) {
 	return p[0], id, nil
 }
 
-// helloAckPayload: u8 proto | manifest (v1) or u8 proto | str serverID |
-// manifest (v2+). The first byte is the *negotiated* session version —
-// min(client, server) — so a v1 client talking to a v2 server reads
-// exactly the v1 encoding it has always read. The v2 server identity
-// lets a re-homing node notice it reached a different shard and skip the
+// helloAckPayload: u8 proto | str serverID | manifest. The first byte is
+// the session version, always ProtoVersion. The server identity lets a
+// re-homing node notice it reached a different shard and skip the
 // stale-generation guard for the first sync (generation counters are
 // per-server; the catalog content digest, not the generation, is the
 // cross-shard convergence check).
-func encodeHelloAck(proto byte, serverID string, m Manifest) []byte {
-	b := []byte{proto}
-	if proto >= 2 {
-		b = appendStr(b, serverID)
-	}
+func encodeHelloAck(serverID string, m Manifest) []byte {
+	b := appendStr([]byte{ProtoVersion}, serverID)
 	return append(b, encodeManifest(m)...)
 }
 
@@ -261,15 +255,12 @@ func decodeHelloAck(p []byte) (proto byte, serverID string, m Manifest, err erro
 	if len(p) < 1 {
 		return 0, "", Manifest{}, errProto("empty hello-ack")
 	}
-	proto = p[0]
 	r := &wireReader{b: p[1:]}
-	if proto >= 2 {
-		if serverID, err = r.str(); err != nil {
-			return 0, "", Manifest{}, err
-		}
+	if serverID, err = r.str(); err != nil {
+		return 0, "", Manifest{}, err
 	}
 	m, err = decodeManifest(r.b)
-	return proto, serverID, m, err
+	return p[0], serverID, m, err
 }
 
 // wantPayload: u32 n | n × hash.
@@ -360,16 +351,15 @@ func decodeUpdate(p []byte) (uint64, error) {
 	return gen, r.end()
 }
 
-// telemetryV2Payload: u64 first | JSON batch. first is the node's
-// cumulative relay sequence of the batch's first event; the v1 payload
-// is the bare JSON batch (no prefix) and stays that way on v1 sessions.
-func encodeTelemetryV2(first uint64, batch []byte) []byte {
+// telemetryPayload: u64 first | JSON batch. first is the node's
+// cumulative relay sequence of the batch's first event.
+func encodeTelemetry(first uint64, batch []byte) []byte {
 	b := make([]byte, 0, 8+len(batch))
 	b = appendU64(b, first)
 	return append(b, batch...)
 }
 
-func decodeTelemetryV2(p []byte) (first uint64, batch []byte, err error) {
+func decodeTelemetry(p []byte) (first uint64, batch []byte, err error) {
 	r := &wireReader{b: p}
 	if first, err = r.u64(); err != nil {
 		return 0, nil, err
@@ -379,7 +369,8 @@ func decodeTelemetryV2(p []byte) (first uint64, batch []byte, err error) {
 
 // telemetryAckPayload: u64 upTo — the node's cumulative relay sequence
 // acknowledged as durable at the aggregation point. The node commits its
-// relay buffer up to this mark.
+// relay buffer up to this mark. On a shard's relay session upTo counts
+// the relay frames the aggregator has admitted.
 func encodeTelemetryAck(upTo uint64) []byte {
 	return appendU64(nil, upTo)
 }

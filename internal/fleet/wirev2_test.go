@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"net"
 	"testing"
-	"time"
 
 	"facechange/internal/telemetry"
 )
@@ -51,16 +50,11 @@ func TestWireV2GoldenPins(t *testing.T) {
 		t.Fatalf("relay mangled: %q %d %q %v", node, first, batch, err)
 	}
 
-	golden("telemetry-v2", encodeTelemetryV2(9, []byte(`[]`)), "00000000000000095b5d")
+	golden("telemetry-v2", encodeTelemetry(9, []byte(`[]`)), "00000000000000095b5d")
 	golden("telemetry-ack", encodeTelemetryAck(13), "000000000000000d")
 
-	// HelloAck, both session versions for the same manifest. The v1 form
-	// is the v2 form minus the server identity — a v1 node reads exactly
-	// the bytes it has always read.
 	m := Manifest{Gen: 3, Views: []ViewManifest{{Name: "a", Digest: Hash{0xAA}, Size: 4, Chunks: []Hash{{0xBB}}}}}
-	golden("hello-ack-v1", encodeHelloAck(ProtoV1, "srv", m),
-		"01000000000000000300000001000161aa00000000000000000000000000000000000000000000000000000000000000000000000000000400000001bb00000000000000000000000000000000000000000000000000000000000000")
-	golden("hello-ack-v2", encodeHelloAck(ProtoVersion, "srv", m),
+	golden("hello-ack-v2", encodeHelloAck("srv", m),
 		"020003737276000000000000000300000001000161aa00000000000000000000000000000000000000000000000000000000000000000000000000000400000001bb00000000000000000000000000000000000000000000000000000000000000")
 
 	// Malformed frames must be rejected, not misparsed.
@@ -112,7 +106,7 @@ func FuzzShardMapWire(f *testing.F) {
 // round-trip.
 func FuzzRelayWire(f *testing.F) {
 	f.Add(encodeRelay("node-1", 42, []byte(`[{"k":1}]`)))
-	f.Add(encodeTelemetryV2(0, nil))
+	f.Add(encodeTelemetry(0, nil))
 	f.Add(encodeTelemetryAck(1 << 40))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if node, first, batch, err := decodeRelay(data); err == nil {
@@ -120,8 +114,8 @@ func FuzzRelayWire(f *testing.F) {
 				t.Fatalf("relay not canonical:\nin:  %x\nout: %x", data, out)
 			}
 		}
-		if first, batch, err := decodeTelemetryV2(data); err == nil {
-			if out := encodeTelemetryV2(first, batch); !bytes.Equal(out, data) {
+		if first, batch, err := decodeTelemetry(data); err == nil {
+			if out := encodeTelemetry(first, batch); !bytes.Equal(out, data) {
 				t.Fatalf("telemetry-v2 not canonical:\nin:  %x\nout: %x", data, out)
 			}
 		}
@@ -133,117 +127,34 @@ func FuzzRelayWire(f *testing.F) {
 	})
 }
 
-// TestV1ClientAgainstV2Server speaks protocol v1 by hand against a fully
-// v2-featured server (shard map provider, telemetry hub) and pins the
-// backward-compatibility contract: the session negotiates down to v1,
-// the HelloAck payload is the v1 shape (no server identity), the server
-// never pushes shard-map or telemetry-ack frames, and a bare-JSON v1
-// telemetry batch is accepted into the hub.
-func TestV1ClientAgainstV2Server(t *testing.T) {
-	sink := &nodeCountSink{}
-	hub := telemetry.NewHub(telemetry.HubConfig{CPUs: 1, RingSize: 1 << 10, Sinks: []telemetry.Sink{sink}})
-	hub.Start()
-	defer hub.Close()
-
-	srv := NewServer(ServerConfig{
-		ID:  "shard-server",
-		Hub: hub,
-		ShardMap: func() ShardMap {
-			return ShardMap{Epoch: 1, Aggregator: "s-a", Shards: []ShardInfo{{ID: "s-a"}, {ID: "s-b"}}}
-		},
+// TestRelaySendReturnsAfterAdmission pins the relay hop's commit point:
+// Send returns only once the aggregator has admitted the batch into its
+// hub, and a re-sent (duplicate) batch is still acknowledged, so the
+// relaying shard never waits out a timeout on a batch the aggregator
+// already holds.
+func TestRelaySendReturnsAfterAdmission(t *testing.T) {
+	hub := telemetry.NewHub(telemetry.HubConfig{})
+	srv := NewServer(ServerConfig{ID: "agg", Hub: hub})
+	rc, err := DialRelay("relay:leaf", func() (net.Conn, error) {
+		c, s := net.Pipe()
+		go srv.ServeConn(s)
+		return c, nil
 	})
-	if err := srv.Publish(testView("apache", 40, 0)); err != nil {
-		t.Fatal(err)
-	}
-
-	c, s := net.Pipe()
-	done := make(chan struct{})
-	go func() { srv.ServeConn(s); close(done) }()
-	defer func() { c.Close(); <-done }()
-
-	// v1 hello: proto byte 1, then the node ID.
-	hello := append([]byte{ProtoV1}, appendStr(nil, "old-node")...)
-	if err := writeFrame(c, msgHello, hello); err != nil {
-		t.Fatal(err)
-	}
-	f, err := readFrame(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.typ != msgHelloAck {
-		t.Fatalf("got %s, want hello-ack", msgName(f.typ))
-	}
-	if f.payload[0] != ProtoV1 {
-		t.Fatalf("negotiated version %d, want %d", f.payload[0], ProtoV1)
-	}
-	// The v1 payload shape: the manifest starts right after the version
-	// byte — no server-identity string in between.
-	man, err := decodeManifest(f.payload[1:])
-	if err != nil {
-		t.Fatalf("hello-ack payload is not v1-shaped: %v", err)
-	}
-	if len(man.Views) != 1 || man.Views[0].Name != "apache" {
-		t.Fatalf("manifest mangled: %+v", man)
-	}
-	proto, serverID, _, err := decodeHelloAck(f.payload)
-	if err != nil || proto != ProtoV1 || serverID != "" {
-		t.Fatalf("decodeHelloAck: proto=%d serverID=%q err=%v, want v1 with no identity", proto, serverID, err)
-	}
+	defer rc.Close()
 
-	// Sync the catalog the v1 way. The first frame back must be the chunk
-	// response itself: a v2 session would have had a shard-map push queued
-	// ahead of it.
-	if err := writeFrame(c, msgWant, encodeWant(man.Views[0].Chunks)); err != nil {
-		t.Fatal(err)
-	}
-	f, err = readFrame(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.typ != msgChunks {
-		t.Fatalf("got %s after want, want chunks (a v1 session must see no shard-map push)", msgName(f.typ))
-	}
-	chunks, err := decodeChunks(f.payload)
-	if err != nil || len(chunks) != len(man.Views[0].Chunks) {
-		t.Fatalf("chunk sync broken: %d/%d chunks, %v", len(chunks), len(man.Views[0].Chunks), err)
-	}
-
-	// v1 telemetry: the payload is the bare JSON batch, no sequence
-	// prefix. The server must accept it and must NOT answer with an ack —
-	// proven by the very next frame being the catalog we ask for.
-	evs := []telemetry.Event{{Kind: telemetry.KindSwitch, N: 1}, {Kind: telemetry.KindSwitch, N: 2}}
-	raw, err := telemetry.EncodeBatch(evs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFrame(c, msgTelemetry, raw); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFrame(c, msgGetCatalog, nil); err != nil {
-		t.Fatal(err)
-	}
-	f, err = readFrame(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.typ != msgCatalog {
-		t.Fatalf("got %s after v1 telemetry, want catalog (no telemetry-ack on v1 sessions)", msgName(f.typ))
-	}
-
-	// The batch must have landed in the hub, stamped with the v1 node's
-	// identity.
-	deadline := time.Now().Add(waitFor)
-	for {
-		total, byNode := sink.snapshot()
-		if byNode["old-node"] == len(evs) {
-			break
+	evs := []telemetry.Event{{Kind: telemetry.KindSwitch}, {Kind: telemetry.KindSwitch}, {Kind: telemetry.KindRecovery}}
+	for round := 0; round < 2; round++ {
+		if err := rc.Send("node-1", 0, evs); err != nil {
+			t.Fatalf("send %d: %v", round, err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("hub saw %d events (%v), want %d from old-node", total, byNode, len(evs))
+		if got := hub.Emitted(); got != 3 {
+			t.Fatalf("send %d returned with %d events in the hub, want 3", round, got)
 		}
-		time.Sleep(time.Millisecond)
 	}
-	if got := srv.v1Sessions.Load(); got != 1 {
-		t.Fatalf("v1Sessions counter %d, want 1", got)
+	if got := srv.seqs.Dups(); got != 3 {
+		t.Fatalf("re-sent batch deduplicated %d events, want 3", got)
 	}
 }

@@ -81,33 +81,24 @@ func (a *Agent) Export(app, srcNode string, finalSeq uint64) ([]byte, error) {
 // Commit finalizes a migration that landed on the target: the frozen view
 // unloads through the ordinary path, releasing its interned-page cache
 // references.
-func (a *Agent) Commit(app string) error {
-	f, err := a.take(app)
-	if err != nil {
-		return err
-	}
-	return a.rt.CommitMigration(f)
-}
+func (a *Agent) Commit(app string) error { return a.settle(app, a.rt.CommitMigration) }
 
 // Abort restores a frozen app exactly as it was: bindings reattach,
 // deferred switches re-arm, active vCPUs re-install the view.
-func (a *Agent) Abort(app string) error {
-	f, err := a.take(app)
-	if err != nil {
-		return err
-	}
-	return a.rt.ThawView(f)
-}
+func (a *Agent) Abort(app string) error { return a.settle(app, a.rt.ThawView) }
 
-func (a *Agent) take(app string) (*core.FrozenView, error) {
+// settle applies the commit-or-abort decision to a frozen app. The lock
+// spans the runtime call, so Frozen reports false only once the decision
+// has landed: a caller that waits for it may then drive the runtime.
+func (a *Agent) settle(app string, apply func(*core.FrozenView) error) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	f := a.frozen[app]
 	if f == nil {
-		return nil, fmt.Errorf("migrate: %q is not frozen", app)
+		return fmt.Errorf("migrate: %q is not frozen", app)
 	}
 	delete(a.frozen, app)
-	return f, nil
+	return apply(f)
 }
 
 // Import restores an image on this runtime, resolving the pinned view

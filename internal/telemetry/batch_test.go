@@ -77,7 +77,7 @@ func TestRingPopBatchOverflowAccounting(t *testing.T) {
 	}
 }
 
-// TestRingBatchZeroAndPeek: zero-length scratch is a no-op, and PeekBatch
+// TestRingBatchZeroAndPeek: zero-length scratch is a no-op, and Peek
 // must not consume.
 func TestRingBatchZeroAndPeek(t *testing.T) {
 	r := NewRing(8)
@@ -92,13 +92,13 @@ func TestRingBatchZeroAndPeek(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("zero-length scratch consumed events: len = %d, want 2", r.Len())
 	}
-	scratch := make([]Event, 4)
-	if n := r.PeekBatch(scratch); n != 2 || scratch[0].Seq != 7 || scratch[1].Seq != 8 {
-		t.Fatalf("PeekBatch = %d %v, want the 2 buffered events", n, scratch[:n])
+	if ev, ok := r.Peek(); !ok || ev.Seq != 7 {
+		t.Fatalf("Peek = %v %v, want the oldest event (seq 7)", ev, ok)
 	}
 	if r.Len() != 2 {
-		t.Fatalf("PeekBatch consumed: len = %d, want 2", r.Len())
+		t.Fatalf("Peek consumed: len = %d, want 2", r.Len())
 	}
+	scratch := make([]Event, 4)
 	if n := r.PopBatch(scratch); n != 2 {
 		t.Fatalf("PopBatch after peek = %d, want 2", n)
 	}

@@ -58,6 +58,9 @@ type Hub struct {
 	// drainMu serializes drain rounds between Drain callers and the
 	// background consumer. It also guards the drain scratch below.
 	drainMu sync.Mutex
+	// inflight counts events a drain round has popped from the rings but
+	// not yet delivered to every sink, so Pending still sees them.
+	inflight atomic.Int64
 
 	// Per-ring pop scratch, per-ring cursors, and the seq-merged delivery
 	// buffer. Allocated once in NewHub so steady-state drains are
@@ -180,6 +183,12 @@ func (h *Hub) Close() error {
 // total emission order by merging rings on sequence number. Returns the
 // number of events delivered.
 //
+// Drain is the hub's quiescence barrier: it takes the same lock as every
+// drain round, so it first waits out any round the background consumer
+// is still delivering. Once producers have stopped, every event they
+// emitted has reached the sinks when one Drain call returns — no
+// Pending poll needed.
+//
 // Drain works in rounds: one PopBatch per ring into hub-owned scratch (a
 // single atomic head load + tail store each, instead of two loads and a
 // store per event), a k-way merge on Seq into the delivery buffer, then
@@ -196,7 +205,12 @@ func (h *Hub) Drain() int {
 	for {
 		total := 0
 		for i, r := range h.rings {
-			h.counts[i] = r.PopBatch(h.scratch[i])
+			// Count the batch in flight before popping it, so Pending
+			// never misses it. Only drain rounds pop, so the ring cannot
+			// shrink below k in between.
+			k := min(r.Len(), len(h.scratch[i]))
+			h.inflight.Add(int64(k))
+			h.counts[i] = r.PopBatch(h.scratch[i][:k])
 			h.cursors[i] = 0
 			total += h.counts[i]
 		}
@@ -229,6 +243,7 @@ func (h *Hub) Drain() int {
 				s.HandleEvent(ev)
 			}
 		}
+		h.inflight.Add(-int64(total))
 		n += total
 	}
 }
@@ -245,18 +260,22 @@ func (h *Hub) Drops() uint64 {
 // Emitted returns the number of events accepted into rings since creation.
 func (h *Hub) Emitted() uint64 { return h.emitted.Load() }
 
-// Pending returns the number of buffered, not yet consumed events.
+// Pending returns the number of emitted events not yet delivered to the
+// sinks: those still in the rings plus those a drain round has popped
+// and is delivering. It may briefly count a popped batch twice, never
+// zero while one is undelivered. It is a gauge, not a barrier — use Drain
+// to wait for delivery.
 func (h *Hub) Pending() int {
 	n := 0
 	for _, r := range h.rings {
 		n += r.Len()
 	}
-	return n
+	return n + int(h.inflight.Load())
 }
 
 // WriteMetrics implements MetricSource: ring occupancy and drop counters.
 func (h *Hub) WriteMetrics(w *Writer) {
 	w.Counter("facechange_events_emitted_total", "events accepted into ring buffers", float64(h.Emitted()))
 	w.Counter("facechange_ring_drops_total", "events dropped on ring overrun", float64(h.Drops()))
-	w.Gauge("facechange_ring_pending", "events buffered awaiting consumption", float64(h.Pending()))
+	w.Gauge("facechange_ring_pending", "events emitted but not yet delivered to sinks", float64(h.Pending()))
 }

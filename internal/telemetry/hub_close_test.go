@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // flushCountSink counts deliveries and snapshots the count at first
@@ -127,5 +128,63 @@ func TestHubCloseBackgroundConsumer(t *testing.T) {
 	}
 	if got := sink.seen.Load(); got != total {
 		t.Fatalf("idempotent Close redelivered: %d events", got)
+	}
+}
+
+// gateSink is a BatchSink that blocks inside delivery until released,
+// holding a drain round mid-flight.
+type gateSink struct {
+	entered chan struct{}
+	release chan struct{}
+	seen    atomic.Uint64
+}
+
+func (s *gateSink) HandleEvent(Event) { s.seen.Add(1) }
+
+func (s *gateSink) HandleBatch(evs []Event) {
+	select {
+	case s.entered <- struct{}{}:
+	default:
+	}
+	<-s.release
+	s.seen.Add(uint64(len(evs)))
+}
+
+// TestHubPendingCountsInFlightRound pins the two halves of quiescence:
+// Pending still counts a batch the background consumer has popped but
+// not yet delivered (the facechange_ring_pending gauge must not read 0
+// while a sink is mid-delivery), and Drain waits for that round before
+// it returns.
+func TestHubPendingCountsInFlightRound(t *testing.T) {
+	sink := &gateSink{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	h := NewHub(HubConfig{Sinks: []Sink{sink}})
+	h.Start()
+	var once sync.Once
+	release := func() { once.Do(func() { close(sink.release) }) }
+	defer h.Close()
+	defer release() // a failing check must not leave Close blocked on the sink
+	const n = 10
+	for i := 0; i < n; i++ {
+		h.Emit(Event{Kind: KindSwitch, Cycle: uint64(i)})
+	}
+	<-sink.entered
+	if p := h.Pending(); p != n {
+		t.Fatalf("Pending() = %d mid-delivery, want %d (popped events invisible)", p, n)
+	}
+
+	drained := make(chan struct{})
+	go func() { h.Drain(); close(drained) }()
+	select {
+	case <-drained:
+		t.Fatal("Drain returned while a drain round was still delivering")
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	<-drained
+	if got := sink.seen.Load(); got != n {
+		t.Fatalf("sink saw %d events after Drain, want %d", got, n)
+	}
+	if p := h.Pending(); p != 0 {
+		t.Fatalf("Pending() = %d after Drain, want 0", p)
 	}
 }

@@ -7,13 +7,14 @@ import "sync"
 // aggregator hub with exact, exactly-once accounting.
 //
 // The node→shard hop already has zero-loss semantics (RemoteBuffer
-// peek/commit: events leave the node only after the wire write
-// succeeded). The shard→aggregator hop reuses the same discipline at
-// batch granularity: a RelayQueue holds whole node batches, a relay loop
-// peeks, writes and only then commits, and the per-batch acknowledgement
-// back to the node is deferred until the batch is committed upstream —
-// so a shard dying mid-relay leaves every unforwarded event uncommitted
-// at its origin node, which re-sends it to the shard's ring successor.
+// peek/commit: events leave the node only once acknowledged). The
+// shard→aggregator hop reuses the same discipline at batch granularity:
+// a RelayQueue holds whole node batches, a relay loop peeks, sends and
+// only then commits (once the aggregator acknowledges admission), and
+// the per-batch acknowledgement back to the node is deferred until the
+// batch is committed upstream — so a shard dying mid-relay leaves every
+// unforwarded event uncommitted at its origin node, which re-sends it to
+// the shard's ring successor.
 // Re-sends can duplicate batches the aggregator already counted (the
 // shard died after forwarding but before acking); the aggregator dedupes
 // them with a SeqTracker keyed on the originating node's cumulative
@@ -82,7 +83,7 @@ func (r *RelayQueue) PeekInto(dst []Batch) int {
 	return copy(dst, r.q)
 }
 
-// Commit removes the n oldest batches (previously peeked and now written
+// Commit removes the n oldest batches (previously peeked and now relayed
 // upstream) and fires every acknowledgement that became due. Acks run
 // outside the queue lock, in queue order.
 func (r *RelayQueue) Commit(n int) {
@@ -191,13 +192,4 @@ func (t *SeqTracker) Gaps() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.gaps
-}
-
-// ReplayBatch emits a batch into dst preserving each event's existing
-// Node stamp — the hub-to-hub sibling of ReplayInto for relayed batches
-// whose origin identity was applied at the first hop.
-func ReplayBatch(dst Emitter, evs []Event) {
-	for _, ev := range evs {
-		dst.Emit(ev)
-	}
 }

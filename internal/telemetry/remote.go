@@ -68,45 +68,12 @@ func (b *RemoteBuffer) HandleBatch(evs []Event) {
 	b.buf = append(b.buf, evs...)
 }
 
-// TakeBatch removes and returns up to n buffered events (all of them when
-// n <= 0), oldest first. Nil when empty.
-func (b *RemoteBuffer) TakeBatch(n int) []Event {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.buf) == 0 {
-		return nil
-	}
-	if n <= 0 || n >= len(b.buf) {
-		out := b.buf
-		b.buf = nil
-		return out
-	}
-	out := append([]Event(nil), b.buf[:n]...)
-	b.buf = append(b.buf[:0], b.buf[n:]...)
-	return out
-}
-
-// PeekBatch returns (a copy of) up to n of the oldest buffered events
-// without removing them. Pair with Commit after the batch is durably
-// shipped: events only ever leave the buffer once the wire write
-// succeeded, so a relay session dying mid-flush loses nothing — the next
-// session re-sends the same prefix, and Len()==0 means fully relayed.
-func (b *RemoteBuffer) PeekBatch(n int) []Event {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.buf) == 0 {
-		return nil
-	}
-	if n <= 0 || n > len(b.buf) {
-		n = len(b.buf)
-	}
-	return append([]Event(nil), b.buf[:n]...)
-}
-
 // PeekBatchInto copies up to len(dst) of the oldest buffered events into
-// caller-owned scratch without removing them, returning the count. The
-// allocation-free sibling of PeekBatch for relay loops that flush on a
-// steady cadence.
+// caller-owned scratch without removing them, returning the count. Pair
+// with Commit once the batch is durably shipped: events only ever leave
+// the buffer after the relay acknowledges them, so a relay session dying
+// mid-flush loses nothing — the next session re-sends the same prefix,
+// and Len()==0 means fully relayed.
 func (b *RemoteBuffer) PeekBatchInto(dst []Event) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -114,8 +81,8 @@ func (b *RemoteBuffer) PeekBatchInto(dst []Event) int {
 	return n
 }
 
-// Commit removes the n oldest events (a batch previously returned by
-// PeekBatch that has been shipped).
+// Commit removes the n oldest events (a batch previously peeked with
+// PeekBatchInto that has been shipped).
 func (b *RemoteBuffer) Commit(n int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

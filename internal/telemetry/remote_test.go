@@ -96,16 +96,20 @@ func TestRemoteBufferBatchAndDrops(t *testing.T) {
 	if b.Len() != 4 || b.Drops() != 2 {
 		t.Fatalf("len=%d drops=%d, want 4/2", b.Len(), b.Drops())
 	}
-	first := b.TakeBatch(3)
-	if len(first) != 3 || first[0].N != 0 || first[2].N != 2 {
-		t.Fatalf("bad first batch: %+v", first)
+	scratch := make([]Event, 3)
+	if n := b.PeekBatchInto(scratch); n != 3 || scratch[0].N != 0 || scratch[2].N != 2 {
+		t.Fatalf("bad first batch: %d %+v", n, scratch[:n])
 	}
-	rest := b.TakeBatch(0)
-	if len(rest) != 1 || rest[0].N != 3 {
-		t.Fatalf("bad final batch: %+v", rest)
+	if b.Len() != 4 {
+		t.Fatalf("peek consumed: len=%d, want 4", b.Len())
 	}
-	if b.TakeBatch(0) != nil {
-		t.Fatal("empty buffer returned a batch")
+	b.Commit(3)
+	if n := b.PeekBatchInto(scratch); n != 1 || scratch[0].N != 3 {
+		t.Fatalf("bad final batch: %d %+v", n, scratch[:n])
+	}
+	b.Commit(1)
+	if n := b.PeekBatchInto(scratch); n != 0 || b.Len() != 0 {
+		t.Fatalf("empty buffer returned a batch of %d (len %d)", n, b.Len())
 	}
 }
 
@@ -117,9 +121,14 @@ func TestBatchRelayRoundTrip(t *testing.T) {
 	src.Emit(Event{Kind: KindRecovery, Comm: "apache", N: 64})
 	src.Emit(Event{Kind: KindSwitch, View: "apache", N: 1})
 
-	wire, err := EncodeBatch(src.TakeBatch(0))
+	scratch := make([]Event, 8)
+	wire, err := EncodeBatch(scratch[:src.PeekBatchInto(scratch)])
 	if err != nil {
 		t.Fatal(err)
+	}
+	src.Commit(2)
+	if src.Len() != 0 {
+		t.Fatalf("source buffer holds %d events after commit, want 0", src.Len())
 	}
 	evs, err := DecodeBatch(wire)
 	if err != nil {

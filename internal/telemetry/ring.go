@@ -91,27 +91,6 @@ func (r *Ring) PopBatch(dst []Event) int {
 	return n
 }
 
-// PeekBatch copies up to len(dst) of the oldest events into the
-// caller-owned scratch without consuming them (consumer side only).
-// A later PopBatch removes them.
-func (r *Ring) PeekBatch(dst []Event) int {
-	if len(dst) == 0 {
-		return 0
-	}
-	tail := r.tail.Load()
-	n := int(r.head.Load() - tail)
-	if n == 0 {
-		return 0
-	}
-	if n > len(dst) {
-		n = len(dst)
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = r.buf[(tail+uint64(i))&r.mask]
-	}
-	return n
-}
-
 // Peek returns the oldest event without consuming it (consumer side only).
 func (r *Ring) Peek() (Event, bool) {
 	tail := r.tail.Load()
