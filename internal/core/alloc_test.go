@@ -218,6 +218,58 @@ func TestEnabledTelemetryElidedZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestFuncSpanZeroAllocs pins the prologue scan at zero allocations with
+// no fault injector attached: funcSpan reads guest memory in place, so
+// neither a view load (base-kernel and module ranges) nor a cold
+// recovery copies a scan region into the arena.
+func TestFuncSpanZeroAllocs(t *testing.T) {
+	opts := FastOptions()
+	opts.SwitchAtResume = false
+	rig := newSwitchRig(t, 1, opts, "af_packet")
+	rt := rig.rt
+	getpid := rig.k.Syms.MustAddr("sys_getpid")
+	cfg := kview.NewView("appM")
+	cfg.Insert(kview.BaseKernel, getpid, getpid+1)
+	for _, m := range rig.k.Modules() {
+		f := moduleFunc(t, rig.k, m.Name)
+		cfg.Insert(m.Name, f.Addr-m.Base, f.End()-m.Base)
+	}
+	if _, err := rt.LoadView(cfg); err != nil {
+		t.Fatalf("LoadView: %v", err)
+	}
+	cpu := rig.k.M.CPUs[0]
+	if err := rt.switchTo(cpu, rig.idx["appA"]); err != nil {
+		t.Fatal(err)
+	}
+	fn, ok := rig.k.Syms.ByName("sys_read")
+	if !ok {
+		t.Fatal("missing symbol sys_read")
+	}
+	cpu.EIP, cpu.EBP = fn.Addr, 0
+	if handled, err := rt.OnInvalidOpcode(rig.k.M, cpu); err != nil || !handled {
+		t.Fatalf("OnInvalidOpcode(sys_read): handled=%v err=%v", handled, err)
+	}
+	if rt.Recoveries != 1 {
+		t.Fatalf("recoveries = %d, want 1 cold recovery", rt.Recoveries)
+	}
+	if c := cap(rt.arenas[0].regionBuf); c != 0 {
+		t.Errorf("scan region copied into the arena (cap %d) with no injector attached", c)
+	}
+	lo, hi := mem.KernelTextGVA, mem.KernelTextGVA+rt.textSize
+	var err error
+	avg := testing.AllocsPerRun(100, func() {
+		if _, _, e := rt.funcSpan(rt.arenas[0], fn.Addr, fn.Addr+1, lo, hi); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if avg != 0 {
+		t.Errorf("funcSpan allocates %.1f objects/scan, want 0", avg)
+	}
+}
+
 type emitFunc func(view string)
 
 func (f emitFunc) Emit(ev Event) {

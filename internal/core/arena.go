@@ -16,9 +16,10 @@ type recArena struct {
 	// for the failure-path restore).
 	copyBuf []byte
 	snapBuf []byte
-	// regionBuf backs funcSpan's prologue scan. Sized to the enclosing
-	// region (the whole kernel text in the worst case), it was the
-	// dominant per-recovery allocation before pooling.
+	// regionBuf backs funcSpan's prologue scan only while a fault injector
+	// is attached: corruption must land on a copy of the region (the whole
+	// kernel text in the worst case). Without one the scan reads guest
+	// memory in place and regionBuf stays empty.
 	regionBuf []byte
 }
 

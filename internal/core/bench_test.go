@@ -113,3 +113,33 @@ func BenchmarkRecoveryStorm(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkLoadView measures view materialization in host time and heap:
+// each iteration loads a view of every fourth base-kernel function plus
+// one function of each of two guest modules (UD2 fill, whole-function
+// prologue scans, staging, interning), then unloads it.
+func BenchmarkLoadView(b *testing.B) {
+	mods := []string{"af_packet", "snd"}
+	rig := newSwitchRig(b, 1, FastOptions(), mods...)
+	cfg := kview.NewView("bench")
+	for i, f := range textFuncs(b, rig.k) {
+		if i%4 == 0 {
+			cfg.Insert(kview.BaseKernel, f.Addr, f.End())
+		}
+	}
+	for _, m := range rig.k.Modules() {
+		f := moduleFunc(b, rig.k, m.Name)
+		cfg.Insert(m.Name, f.Addr-m.Base, f.End()-m.Base)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx, err := rig.rt.LoadView(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := rig.rt.UnloadView(idx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -401,35 +401,41 @@ func (r *Runtime) vmiAcc(cpu *hv.CPU) mem.Access {
 	return r.vmiAccs[cpu.ID]
 }
 
-// physRead reads pristine guest-physical bytes (the channel that feeds
-// shadow-page contents), subject to injected failures. Content reads are
-// never corrupted — see mem.FaultPhysRead — so anything that lands in a
-// view is byte-faithful to the pristine kernel.
-func (r *Runtime) physRead(gpa uint32, buf []byte) error {
+// physSlice returns n pristine guest-physical bytes at gpa (the channel
+// that feeds shadow-page contents) as a live view of guest memory,
+// subject to injected failures. Content reads are never corrupted — see
+// mem.FaultPhysRead — so anything that lands in a view is byte-faithful
+// to the pristine kernel. The view must not be held across a host page
+// allocation (an intern or COW).
+func (r *Runtime) physSlice(gpa uint32, n int) ([]byte, error) {
 	if r.inj != nil {
-		if err := r.inj.Fault(mem.FaultPhysRead, gpa, len(buf)); err != nil {
-			return err
+		if err := r.inj.Fault(mem.FaultPhysRead, gpa, n); err != nil {
+			return nil, err
 		}
 	}
-	return r.m.Host.Read(gpa, buf)
+	return r.m.Host.Slice(gpa, n)
 }
 
-// scanRead reads the pristine region backing the prologue scan. Injected
-// corruption here makes funcSpan miss prologues and widen spans — a
-// behavioral fault the runtime must absorb without corrupting content.
-func (r *Runtime) scanRead(gpa uint32, buf []byte) error {
-	if r.inj != nil {
-		if err := r.inj.Fault(mem.FaultScanRead, gpa, len(buf)); err != nil {
-			return err
-		}
+// scanRegion returns the n pristine bytes at gpa that back funcSpan's
+// prologue scan. With no injector attached it is a live view of guest
+// memory, so the scan costs what it inspects, not the region's size. With
+// one attached the region is copied into the arena first: injected
+// corruption makes funcSpan miss prologues and widen spans — a behavioral
+// fault the runtime must absorb without corrupting content — and must
+// land on the copy, never on guest memory.
+func (r *Runtime) scanRegion(a *recArena, gpa uint32, n int) ([]byte, error) {
+	if r.inj == nil {
+		return r.m.Host.Slice(gpa, n)
 	}
+	if err := r.inj.Fault(mem.FaultScanRead, gpa, n); err != nil {
+		return nil, err
+	}
+	buf := arenaBytes(&a.regionBuf, n)
 	if err := r.m.Host.Read(gpa, buf); err != nil {
-		return err
+		return nil, err
 	}
-	if r.inj != nil {
-		r.inj.Corrupt(mem.FaultScanRead, gpa, buf)
-	}
-	return nil
+	r.inj.Corrupt(mem.FaultScanRead, gpa, buf)
+	return buf, nil
 }
 
 // readRQCurrBytes reads the incoming task's pid and comm via VMI at a

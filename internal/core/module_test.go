@@ -211,3 +211,67 @@ func TestFuncSpanSweep(t *testing.T) {
 		}
 	}
 }
+
+// passInjector is attached only to route funcSpan through its
+// copied-region path: it never fails or corrupts anything.
+type passInjector struct{}
+
+func (passInjector) Fault(mem.FaultOp, uint32, int) error { return nil }
+func (passInjector) Corrupt(mem.FaultOp, uint32, []byte)  {}
+
+// TestFuncSpanInPlaceMatchesCopy: for every base-kernel and module
+// function, the span scanned in place over guest memory equals the span
+// scanned over a copy of the region (the path taken with an injector).
+func TestFuncSpanInPlaceMatchesCopy(t *testing.T) {
+	var names []string
+	for _, m := range kernel.StandardModules() {
+		names = append(names, m.Name)
+	}
+	k, rt := runtimeMachine(t, names, DefaultOptions())
+	regions := map[string][2]uint32{"": {mem.KernelTextGVA, mem.KernelTextGVA + rt.textSize}}
+	for _, m := range k.Modules() {
+		regions[m.Name] = [2]uint32{m.Base, m.Base + m.Size}
+	}
+	type query struct {
+		fn         string
+		start, end uint32
+		region     [2]uint32
+	}
+	var queries []query
+	for _, f := range k.Syms.Funcs() {
+		rg, ok := regions[f.Module]
+		if !ok || f.Addr < rg[0] || f.End() > rg[1] || f.Size == 0 {
+			continue
+		}
+		mid := f.Addr + f.Size/2
+		queries = append(queries,
+			query{f.Name, f.Addr, f.Addr + 1, rg},
+			query{f.Name, mid, mid + 1, rg},
+			query{f.Name, f.Addr, f.End(), rg})
+	}
+	if len(regions) != len(names)+1 || len(queries) == 0 {
+		t.Fatalf("%d regions, %d queries: modules not loaded", len(regions), len(queries))
+	}
+	spans := func() [][2]uint32 {
+		out := make([][2]uint32, len(queries))
+		for i, q := range queries {
+			s, e, err := rt.funcSpan(rt.arenas[0], q.start, q.end, q.region[0], q.region[1])
+			if err != nil {
+				t.Fatalf("%s: %v", q.fn, err)
+			}
+			out[i] = [2]uint32{s, e}
+		}
+		return out
+	}
+	inPlace := spans()
+	rt.SetFaultInjector(passInjector{})
+	copied := spans()
+	if cap(rt.arenas[0].regionBuf) == 0 {
+		t.Fatal("injector attached but the scan never copied a region")
+	}
+	for i, q := range queries {
+		if inPlace[i] != copied[i] {
+			t.Errorf("%s [%#x,%#x): in-place span %#x, copied span %#x", q.fn, q.start, q.end, inPlace[i], copied[i])
+		}
+	}
+}

@@ -359,8 +359,10 @@ func gpaFor(gva uint32) uint32 {
 func (r *Runtime) stageRange(s *viewStage, v *LoadedView, start, end, regionStart, regionEnd uint32) error {
 	if r.opts.WholeFunctionLoad {
 		var err error
-		// Load-time staging is not a hot path; vCPU 0's arena (callers
-		// hold mu) just keeps one grow-once buffer policy everywhere.
+		// Staging runs for every configured range of every load — hot-plug
+		// and migration import included — on behalf of no vCPU. It borrows
+		// vCPU 0's arena (callers hold mu), which the scan touches only
+		// when a fault injector is attached.
 		start, end, err = r.funcSpan(r.arenas[0], start, end, regionStart, regionEnd)
 		if err != nil {
 			return err
@@ -371,14 +373,15 @@ func (r *Runtime) stageRange(s *viewStage, v *LoadedView, start, end, regionStar
 
 // stageCopy stages n pristine bytes at guest virtual address gva (read from
 // guest *physical* memory, immune to active views) into the view under
-// construction. Staging failures need no unwinding: no page has been
+// construction, copying them straight from guest memory into the staged
+// page buffers. Staging failures need no unwinding: no page has been
 // interned yet, so the cache is untouched.
 func (r *Runtime) stageCopy(s *viewStage, v *LoadedView, gva uint32, n uint32) error {
-	buf := make([]byte, n)
-	if err := r.physRead(gpaFor(gva), buf); err != nil {
+	src, err := r.physSlice(gpaFor(gva), int(n))
+	if err != nil {
 		return fmt.Errorf("core: read pristine code at %#x: %w", gva, err)
 	}
-	if err := s.write(v.Name, gva, buf); err != nil {
+	if err := s.write(v.Name, gva, src); err != nil {
 		return err
 	}
 	v.LoadedBytes += uint64(n)
@@ -393,10 +396,13 @@ func (r *Runtime) stageCopy(s *viewStage, v *LoadedView, gva uint32, n uint32) e
 // from the caller's arena, so a steady-state recovery allocates nothing
 // here.
 func (r *Runtime) copyPhys(a *recArena, v *LoadedView, gva uint32, n uint32) error {
-	buf := arenaBytes(&a.copyBuf, int(n))
-	if err := r.physRead(gpaFor(gva), buf); err != nil {
+	src, err := r.physSlice(gpaFor(gva), int(n))
+	if err != nil {
 		return fmt.Errorf("core: read pristine code at %#x: %w", gva, err)
 	}
+	// The pristine bytes are copied out: viewWrite may allocate a COW page.
+	buf := arenaBytes(&a.copyBuf, int(n))
+	copy(buf, src)
 	snap := arenaBytes(&a.snapBuf, int(n))
 	if err := r.readShadow(v, gva, snap); err != nil {
 		return fmt.Errorf("core: snapshot shadow at %#x: %w", gva, err)
@@ -545,15 +551,14 @@ func (v *LoadedView) covers(gva uint32) bool {
 // pristine guest bytes for the prologue signature "55 89 E5" at
 // power-of-two-aligned offsets (the paper's footnote-2 reliance on
 // -falign-functions), within [regionStart, regionEnd).
-// The scan buffer comes from the caller's arena (region-sized — the whole
-// kernel text in the worst case — and the dominant per-recovery
-// allocation before pooling).
+// The scan reads guest memory in place (see scanRegion) and finishes
+// before the caller allocates any host page.
 func (r *Runtime) funcSpan(a *recArena, start, end, regionStart, regionEnd uint32) (uint32, uint32, error) {
 	if start < regionStart || end > regionEnd || start >= end {
 		return 0, 0, fmt.Errorf("core: range [%#x,%#x) outside region [%#x,%#x)", start, end, regionStart, regionEnd)
 	}
-	region := arenaBytes(&a.regionBuf, int(regionEnd-regionStart))
-	if err := r.scanRead(gpaFor(regionStart), region); err != nil {
+	region, err := r.scanRegion(a, gpaFor(regionStart), int(regionEnd-regionStart))
+	if err != nil {
 		return 0, 0, fmt.Errorf("core: read region: %w", err)
 	}
 	const align = 16

@@ -8,8 +8,9 @@ import (
 )
 
 // ChunkStore is the node side of delta sync: a host-level, content-
-// addressed store of catalog chunks backed by the same sha256 page
-// interning (mem.PageCache) the runtime uses for shadow pages. Every node
+// addressed store of catalog chunks, keyed by their sha256 chunk IDs and
+// backed by the same page interning (mem.PageCache: seeded hash, byte
+// compare on hit) the runtime uses for shadow pages. Every node
 // on a host shares one store; a chunk any node has downloaded is resident
 // for all of them, so a second node joining an already-synced server
 // re-references resident pages (interned-page cache hits) instead of

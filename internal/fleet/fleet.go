@@ -9,8 +9,8 @@
 // and the fcfleet demo). Three properties make the plane fleet-shaped
 // rather than a file copier:
 //
-//   - Delta sync. Chunks are addressed by content hash and interned in a
-//     host-level ChunkStore backed by the same sha256 page interning the
+//   - Delta sync. Chunks are addressed by sha256 content hash and interned
+//     in a host-level ChunkStore backed by the same page interning the
 //     runtime's shadow-page cache uses. A node never downloads a chunk the
 //     store already holds: the second node joining a warm host transfers
 //     only the manifest, and its chunk references land on the

@@ -1,9 +1,11 @@
 package mem
 
 import (
-	"crypto/sha256"
+	"bytes"
 	"errors"
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"sync"
 )
 
@@ -19,13 +21,19 @@ var ErrCachePressure = errors.New("mem: page cache at capacity")
 // maps it. Shared pages are immutable: a view that must write one (kernel
 // code recovery) first takes a private copy with Privatize (copy-on-write).
 //
+// Pages are keyed by a seeded non-cryptographic hash, and a hit is
+// confirmed by comparing the resident page byte for byte: two contents
+// share a page only if they are equal, never merely because their hashes
+// are. Contents that collide keep separate pages in one hash bucket.
+//
 // The cache is safe for concurrent use; the profiling pool and future
 // multi-tenant view hosting may intern pages from several goroutines.
 type PageCache struct {
 	mu      sync.Mutex
 	host    *Host
-	byHash  map[[sha256.Size]byte]uint32 // content hash → HPA
-	entries map[uint32]*cacheEntry       // HPA → entry
+	seed    maphash.Seed
+	byHash  map[uint64][]uint32    // content hash → HPAs of resident pages
+	entries map[uint32]*cacheEntry // HPA → entry
 
 	// maxPages bounds live distinct pages when non-zero — the cache
 	// pressure knob. Interning novel content beyond the limit fails with
@@ -38,7 +46,7 @@ type PageCache struct {
 }
 
 type cacheEntry struct {
-	hash [sha256.Size]byte
+	hash uint64
 	refs int
 }
 
@@ -77,7 +85,8 @@ func (s CacheStats) DedupRatio() float64 {
 func NewPageCache(host *Host) *PageCache {
 	return &PageCache{
 		host:    host,
-		byHash:  make(map[[sha256.Size]byte]uint32),
+		seed:    maphash.MakeSeed(),
+		byHash:  make(map[uint64][]uint32),
 		entries: make(map[uint32]*cacheEntry),
 	}
 }
@@ -90,13 +99,25 @@ func (c *PageCache) Intern(content []byte) (uint32, error) {
 	if len(content) != PageSize {
 		return 0, fmt.Errorf("mem: intern %d bytes, want one page", len(content))
 	}
-	h := sha256.Sum256(content)
+	return c.internHashed(maphash.Bytes(c.seed, content), content)
+}
+
+// internHashed is Intern with the content's hash h already computed. A
+// resident page in h's bucket is a hit only if its bytes equal content;
+// otherwise content gets a page of its own in the same bucket.
+func (c *PageCache) internHashed(h uint64, content []byte) (uint32, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if hpa, ok := c.byHash[h]; ok {
-		c.entries[hpa].refs++
-		c.hits++
-		return hpa, nil
+	for _, hpa := range c.byHash[h] {
+		page, err := c.host.Slice(hpa, PageSize)
+		if err != nil {
+			return 0, fmt.Errorf("mem: intern: %w", err)
+		}
+		if bytes.Equal(page, content) {
+			c.entries[hpa].refs++
+			c.hits++
+			return hpa, nil
+		}
 	}
 	if c.maxPages > 0 && len(c.entries) >= c.maxPages {
 		return 0, ErrCachePressure
@@ -110,7 +131,7 @@ func (c *PageCache) Intern(content []byte) (uint32, error) {
 	if err := c.host.Write(hpa, content); err != nil {
 		return 0, fmt.Errorf("mem: intern: %w", err)
 	}
-	c.byHash[h] = hpa
+	c.byHash[h] = append(c.byHash[h], hpa)
 	c.entries[hpa] = &cacheEntry{hash: h, refs: 1}
 	c.misses++
 	return hpa, nil
@@ -133,7 +154,11 @@ func (c *PageCache) releaseLocked(hpa uint32) {
 	if e.refs > 0 {
 		return
 	}
-	delete(c.byHash, e.hash)
+	if b := slices.DeleteFunc(c.byHash[e.hash], func(x uint32) bool { return x == hpa }); len(b) > 0 {
+		c.byHash[e.hash] = b
+	} else {
+		delete(c.byHash, e.hash)
+	}
 	delete(c.entries, hpa)
 	c.host.FreePage(hpa)
 }

@@ -50,6 +50,59 @@ func TestPageCacheInternDedups(t *testing.T) {
 	}
 }
 
+// TestPageCacheHashCollision forces two different pages under one hash
+// value: the byte compare in the bucket walk must keep them apart, and
+// releasing one must leave the other reachable.
+func TestPageCacheHashCollision(t *testing.T) {
+	c := NewPageCache(NewArenaHost())
+	const h = 0x5eed
+	a, b := pageFilled(0xAA), pageFilled(0xBB)
+	intern := func(content []byte) uint32 {
+		t.Helper()
+		hpa, err := c.internHashed(h, content)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hpa
+	}
+	ha, hb := intern(a), intern(b)
+	if ha == hb {
+		t.Fatalf("colliding contents share page %#x", ha)
+	}
+	if got := intern(a); got != ha {
+		t.Errorf("re-intern of first page = %#x, want %#x", got, ha)
+	}
+	if got := intern(b); got != hb {
+		t.Errorf("re-intern of second page = %#x, want %#x", got, hb)
+	}
+	if st := c.Stats(); st.DistinctPages != 2 || st.Hits != 2 || st.Misses != 2 {
+		t.Errorf("stats = %+v, want 2 distinct, 2 hits, 2 misses", st)
+	}
+	// Drop the bucket's first page entirely; the second stays reachable.
+	c.Release(ha)
+	c.Release(ha)
+	if c.Refs(ha) != 0 {
+		t.Fatalf("released page still has %d refs", c.Refs(ha))
+	}
+	if got := intern(b); got != hb {
+		t.Errorf("second page after releasing the first = %#x, want %#x", got, hb)
+	}
+	if c.Refs(hb) != 3 {
+		t.Errorf("second page refs = %d, want 3", c.Refs(hb))
+	}
+	page := make([]byte, PageSize)
+	if err := c.host.Read(hb, page); err != nil || !bytes.Equal(page, b) {
+		t.Errorf("second page content changed (err %v)", err)
+	}
+	// The first content comes back as a miss under the same bucket.
+	if got := intern(a); got == hb {
+		t.Errorf("first content re-interned onto the second page %#x", got)
+	}
+	if st := c.Stats(); st.DistinctPages != 2 || st.Misses != 3 {
+		t.Errorf("stats = %+v, want 2 distinct, 3 misses", st)
+	}
+}
+
 // TestBytesSavedTotalMonotonic pins the counter/gauge split: releasing a
 // shared mapping shrinks the live BytesSaved gauge but never the lifetime
 // BytesSavedTotal counter.
