@@ -12,9 +12,8 @@ type recArena struct {
 	// anything retains it.
 	frames  []Frame
 	instant []uint32
-	// copyBuf/snapBuf back copyPhys (pristine bytes in, shadow snapshot
-	// for the failure-path restore).
-	copyBuf []byte
+	// snapBuf backs copyPhys's shadow snapshot for the failure-path
+	// restore.
 	snapBuf []byte
 	// regionBuf backs funcSpan's prologue scan only while a fault injector
 	// is attached: corruption must land on a copy of the region (the whole

@@ -405,8 +405,7 @@ func (r *Runtime) vmiAcc(cpu *hv.CPU) mem.Access {
 // that feeds shadow-page contents) as a live view of guest memory,
 // subject to injected failures. Content reads are never corrupted — see
 // mem.FaultPhysRead — so anything that lands in a view is byte-faithful
-// to the pristine kernel. The view must not be held across a host page
-// allocation (an intern or COW).
+// to the pristine kernel.
 func (r *Runtime) physSlice(gpa uint32, n int) ([]byte, error) {
 	if r.inj != nil {
 		if err := r.inj.Fault(mem.FaultPhysRead, gpa, n); err != nil {

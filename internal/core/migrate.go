@@ -31,6 +31,12 @@ type PageDelta struct {
 
 // ViewState is a view's migratable checkpoint, produced by ExportViewState
 // on a frozen view and consumed by ImportViewState on the target runtime.
+//
+// An exported state does not own its page bytes: each delta's Data
+// aliases the frozen view's private page in host memory. It is valid
+// until the view is committed (its pages are freed and reused) or thawed
+// (recovery may write them again), so encode it — or copy what must
+// outlive the decision — before calling CommitMigration or ThawView.
 type ViewState struct {
 	App string
 	// Cfg is the view configuration (the catalog content). The wire image
@@ -41,7 +47,10 @@ type ViewState struct {
 	// recovered), carried verbatim so the target's amelioration reference
 	// and lazy-recovery bookkeeping survive the move.
 	Recovered *kview.View
-	// Deltas are the COW pages, sorted by ascending GPA.
+	// Deltas are the COW pages, sorted by ascending GPA. From
+	// ExportViewState, each Data aliases a private page of the frozen
+	// view (see the lifetime rule above); ImportViewState only reads
+	// them and retains none.
 	Deltas []PageDelta
 	// Active and Deferred summarize the per-vCPU switch state at freeze
 	// time: Active[i] means vCPU i was running the view, Deferred[i] means
@@ -191,8 +200,9 @@ func (r *Runtime) CommitMigration(f *FrozenView) error {
 }
 
 // ExportViewState checkpoints a frozen view's migratable state: the COW
-// page deltas (read straight from host memory), the recovered-span set,
-// and the per-vCPU switch summary recorded at freeze time.
+// page deltas (live views of the view's private pages, valid until commit
+// or thaw), the recovered-span set, and the per-vCPU switch summary
+// recorded at freeze time.
 func (r *Runtime) ExportViewState(f *FrozenView) (*ViewState, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -221,8 +231,8 @@ func (r *Runtime) ExportViewState(f *FrozenView) (*ViewState, error) {
 			if v.shared[gpa] {
 				continue // interned catalog content; never travels
 			}
-			data := make([]byte, mem.PageSize)
-			if err := r.m.Host.Read(hpa, data); err != nil {
+			data, err := r.m.Host.Slice(hpa, mem.PageSize)
+			if err != nil {
 				return fmt.Errorf("core: export delta %#x: %w", gpa, err)
 			}
 			st.Deltas = append(st.Deltas, PageDelta{GPA: gpa, Data: data})

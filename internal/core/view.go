@@ -392,22 +392,19 @@ func (r *Runtime) stageCopy(s *viewStage, v *LoadedView, gva uint32, n uint32) e
 // (already materialized) shadow pages — the runtime recovery path. A
 // failure partway through (a COW allocation can fail under cache pressure)
 // restores the span's previous shadow bytes, so the view never holds code
-// the recovery bookkeeping does not record. Both working buffers come
-// from the caller's arena, so a steady-state recovery allocates nothing
-// here.
+// the recovery bookkeeping does not record. The pristine bytes are written
+// straight from guest memory, and the snapshot buffer comes from the
+// caller's arena, so a steady-state recovery allocates nothing here.
 func (r *Runtime) copyPhys(a *recArena, v *LoadedView, gva uint32, n uint32) error {
 	src, err := r.physSlice(gpaFor(gva), int(n))
 	if err != nil {
 		return fmt.Errorf("core: read pristine code at %#x: %w", gva, err)
 	}
-	// The pristine bytes are copied out: viewWrite may allocate a COW page.
-	buf := arenaBytes(&a.copyBuf, int(n))
-	copy(buf, src)
 	snap := arenaBytes(&a.snapBuf, int(n))
 	if err := r.readShadow(v, gva, snap); err != nil {
 		return fmt.Errorf("core: snapshot shadow at %#x: %w", gva, err)
 	}
-	if err := r.viewWrite(v, gva, buf); err != nil {
+	if err := r.viewWrite(v, gva, src); err != nil {
 		r.restoreShadow(v, gva, snap)
 		return err
 	}
@@ -551,8 +548,7 @@ func (v *LoadedView) covers(gva uint32) bool {
 // pristine guest bytes for the prologue signature "55 89 E5" at
 // power-of-two-aligned offsets (the paper's footnote-2 reliance on
 // -falign-functions), within [regionStart, regionEnd).
-// The scan reads guest memory in place (see scanRegion) and finishes
-// before the caller allocates any host page.
+// The scan reads guest memory in place (see scanRegion).
 func (r *Runtime) funcSpan(a *recArena, start, end, regionStart, regionEnd uint32) (uint32, uint32, error) {
 	if start < regionStart || end > regionEnd || start >= end {
 		return 0, 0, fmt.Errorf("core: range [%#x,%#x) outside region [%#x,%#x)", start, end, regionStart, regionEnd)

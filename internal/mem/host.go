@@ -2,30 +2,43 @@ package mem
 
 import "fmt"
 
+// slabPages is the number of shadow pages in one host slab.
+const slabPages = 64
+
+const slabBytes = slabPages * PageSize
+
 // Host is the host physical memory of the simulated machine. The guest's
-// RAM occupies HPA [0, GuestRAMSize) so that the identity EPT mapping is
-// trivially correct; pages allocated for kernel-view shadow copies live
-// above it.
+// RAM occupies HPA [0, GuestRAMSize) as one contiguous array, so the
+// identity EPT mapping is trivially correct and a Slice of guest memory
+// may span many pages. Shadow pages for kernel views live above it, in
+// fixed-size slabs added on demand.
+//
+// Host memory never moves: guest RAM is allocated once and a slab, once
+// added, is never copied or released. A Slice therefore stays a live view
+// of the same bytes for the host's lifetime — across any number of
+// AllocPage calls. An access above guest RAM is bounded to one shadow
+// page (consecutive AllocPage results are not contiguous in general).
 type Host struct {
-	mem      []byte
+	ram      []byte
+	slabs    [][]byte
 	nextPage uint32   // next never-allocated HPA for AllocPage
 	freelist []uint32 // freed pages available for reuse (LIFO)
 }
 
 // NewHost creates host memory backing a guest with GuestRAMSize of RAM and
-// headroom for shadow pages.
+// room for shadow pages.
 func NewHost() *Host {
 	return &Host{
-		mem:      make([]byte, GuestRAMSize),
+		ram:      make([]byte, GuestRAMSize),
 		nextPage: GuestRAMSize,
 	}
 }
 
 // NewArenaHost creates a host with no guest RAM reservation: a pure page
 // arena for callers that only AllocPage/FreePage (chunk stores, page
-// caches detached from any guest). Memory grows on demand from zero, so a
-// hundred arenas cost what their live pages cost — not a hundred guests'
-// worth of empty RAM.
+// caches detached from any guest). Its pages start at HPA 0 and slabs are
+// added on demand, so a hundred arenas cost what their live pages cost —
+// not a hundred guests' worth of empty RAM.
 func NewArenaHost() *Host {
 	return &Host{}
 }
@@ -42,64 +55,71 @@ func (h *Host) AllocPage() uint32 {
 		return hpa
 	}
 	hpa := h.nextPage
-	h.nextPage += PageSize
-	if int(h.nextPage) > len(h.mem) {
-		grown := make([]byte, len(h.mem)*2+int(PageSize))
-		copy(grown, h.mem)
-		h.mem = grown
+	if (hpa-uint32(len(h.ram)))%slabBytes == 0 {
+		h.slabs = append(h.slabs, make([]byte, slabBytes))
 	}
+	h.nextPage += PageSize
 	return hpa
 }
 
 // FreePage releases a previously allocated page: it is zeroed and queued
-// for reuse by AllocPage.
+// for reuse by AllocPage. Freeing anything but a shadow page panics.
 func (h *Host) FreePage(hpa uint32) {
-	for i := uint32(0); i < PageSize; i++ {
-		h.mem[hpa+i] = 0
+	page, err := h.Slice(hpa, PageSize)
+	if err != nil || hpa < uint32(len(h.ram)) {
+		panic(fmt.Sprintf("mem: free of %#x, not a shadow page", hpa))
 	}
+	clear(page)
 	h.freelist = append(h.freelist, hpa)
 }
 
 // LivePages returns the number of allocated-and-not-freed shadow pages.
 func (h *Host) LivePages() int {
-	return int((h.nextPage-GuestRAMSize)/PageSize) - len(h.freelist)
+	return int((h.nextPage-uint32(len(h.ram)))/PageSize) - len(h.freelist)
 }
 
-// Size returns the current host memory size in bytes.
-func (h *Host) Size() int { return len(h.mem) }
+// Size returns the host memory reserved so far in bytes: guest RAM plus
+// every slab.
+func (h *Host) Size() int { return len(h.ram) + len(h.slabs)*slabBytes }
 
-func (h *Host) check(hpa uint32, n int) error {
-	if int(hpa)+n > len(h.mem) {
-		return fmt.Errorf("mem: host access [%#x,%#x) beyond %#x", hpa, int(hpa)+n, len(h.mem))
+// Slice returns a live view of host memory [hpa, hpa+n), which must lie
+// inside guest RAM or inside one allocated shadow page. Host memory never
+// moves, so the view stays valid across AllocPage; a view of a shadow
+// page sees whatever the page holds next, including the zeroes of a
+// FreePage and the content of its next owner.
+func (h *Host) Slice(hpa uint32, n int) ([]byte, error) {
+	if ram := uint32(len(h.ram)); hpa < ram {
+		if int(hpa)+n > len(h.ram) {
+			return nil, fmt.Errorf("mem: host access [%#x,%#x) crosses the end of guest RAM %#x", hpa, int(hpa)+n, ram)
+		}
+		return h.ram[hpa : int(hpa)+n], nil
 	}
-	return nil
+	off := hpa - uint32(len(h.ram))
+	if hpa >= h.nextPage || int(off%PageSize)+n > PageSize {
+		return nil, fmt.Errorf("mem: host access [%#x,%#x) outside one allocated shadow page", hpa, int(hpa)+n)
+	}
+	slab, so := h.slabs[off/slabBytes], off%slabBytes
+	return slab[so : int(so)+n], nil
 }
 
 // Read copies host memory at hpa into buf.
 func (h *Host) Read(hpa uint32, buf []byte) error {
-	if err := h.check(hpa, len(buf)); err != nil {
+	src, err := h.Slice(hpa, len(buf))
+	if err != nil {
 		return err
 	}
-	copy(buf, h.mem[hpa:])
+	copy(buf, src)
 	return nil
 }
 
 // Write copies buf into host memory at hpa.
 func (h *Host) Write(hpa uint32, buf []byte) error {
-	if err := h.check(hpa, len(buf)); err != nil {
+	dst, err := h.Slice(hpa, len(buf))
+	if err != nil {
 		return err
 	}
-	copy(h.mem[hpa:], buf)
+	copy(dst, buf)
 	return nil
-}
-
-// Slice returns a live view of host memory [hpa, hpa+n). The caller must
-// not hold it across AllocPage calls (the backing array may move).
-func (h *Host) Slice(hpa uint32, n int) ([]byte, error) {
-	if err := h.check(hpa, n); err != nil {
-		return nil, err
-	}
-	return h.mem[hpa : int(hpa)+n], nil
 }
 
 // ReadU32 reads a little-endian 32-bit word at hpa.

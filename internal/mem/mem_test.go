@@ -393,7 +393,20 @@ func TestHostSliceAliasesMemory(t *testing.T) {
 // pointer advances, so load/unload churn keeps host memory bounded by the
 // peak live set.
 func TestHostFreelistReuse(t *testing.T) {
-	h := NewHost()
+	for _, tc := range []struct {
+		name string
+		host func() *Host
+	}{
+		{"guest", NewHost},
+		// An arena's pages start at HPA 0: LivePages must not subtract a
+		// guest RAM reservation the arena does not have.
+		{"arena", NewArenaHost},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testFreelistReuse(t, tc.host()) })
+	}
+}
+
+func testFreelistReuse(t *testing.T, h *Host) {
 	a := h.AllocPage()
 	b := h.AllocPage()
 	if got := h.LivePages(); got != 2 {
@@ -445,18 +458,86 @@ func TestHostFreelistReuse(t *testing.T) {
 	}
 }
 
+// TestHostFreePageZeroes: a freed page reads all zeros, every byte of it,
+// and so does its next owner, on both host kinds.
 func TestHostFreePageZeroes(t *testing.T) {
+	for _, h := range []*Host{NewHost(), NewArenaHost()} {
+		hpa := h.AllocPage()
+		if err := h.Write(hpa, bytes.Repeat([]byte{0xA5}, PageSize)); err != nil {
+			t.Fatal(err)
+		}
+		h.FreePage(hpa)
+		page := make([]byte, PageSize)
+		if err := h.Read(hpa, page); err != nil {
+			t.Fatal(err)
+		}
+		if i := bytes.IndexFunc(page, func(r rune) bool { return r != 0 }); i >= 0 {
+			t.Fatalf("freed page %#x byte %d is %#x, want 0", hpa, i, page[i])
+		}
+		if got := h.AllocPage(); got != hpa {
+			t.Fatalf("realloc = %#x, want the freed page %#x back", got, hpa)
+		}
+	}
+}
+
+// TestHostSliceSurvivesAllocation: host memory never moves, so a Slice
+// taken before many page allocations — of guest RAM or of a shadow page —
+// still aliases host memory after them.
+func TestHostSliceSurvivesAllocation(t *testing.T) {
 	h := NewHost()
-	hpa := h.AllocPage()
-	if err := h.Write(hpa, []byte{1, 2, 3}); err != nil {
+	ram, err := h.Slice(0x3000, 4)
+	if err != nil {
 		t.Fatal(err)
 	}
-	h.FreePage(hpa)
-	b := make([]byte, 3)
-	if err := h.Read(hpa, b); err != nil {
+	first := h.AllocPage()
+	shadow, err := h.Slice(first, PageSize)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if b[0] != 0 || b[1] != 0 || b[2] != 0 {
-		t.Errorf("freed page not zeroed: %v", b)
+	for i := 0; i < 1000; i++ {
+		h.AllocPage()
+	}
+	ram[0], shadow[PageSize-1] = 0x5A, 0x6B
+	if b, err := h.ReadU32(0x3000); err != nil || byte(b) != 0x5A {
+		t.Errorf("guest RAM slice no longer aliases host memory (read %#x, %v)", b, err)
+	}
+	b := make([]byte, 1)
+	if err := h.Read(first+PageSize-1, b); err != nil || b[0] != 0x6B {
+		t.Errorf("shadow page slice no longer aliases host memory (read %#x, %v)", b[0], err)
+	}
+}
+
+// TestHostShadowAccessBoundedToPage: above guest RAM an access may not
+// leave its page — consecutive allocations are not contiguous memory —
+// and may not touch a page never allocated. An access may not cross from
+// guest RAM into the shadow area either.
+func TestHostShadowAccessBoundedToPage(t *testing.T) {
+	for _, h := range []*Host{NewHost(), NewArenaHost()} {
+		a := h.AllocPage()
+		h.AllocPage()
+		cross := a + PageSize - 2
+		if err := h.Read(cross, make([]byte, 4)); err == nil {
+			t.Error("read across a shadow-page boundary should fail")
+		}
+		if err := h.Write(cross, make([]byte, 4)); err == nil {
+			t.Error("write across a shadow-page boundary should fail")
+		}
+		if _, err := h.Slice(cross, 4); err == nil {
+			t.Error("slice across a shadow-page boundary should fail")
+		}
+		if _, err := h.Slice(a, PageSize+1); err == nil {
+			t.Error("slice of more than one shadow page should fail")
+		}
+		if _, err := h.Slice(a+2*PageSize, 1); err == nil {
+			t.Error("slice of a never-allocated page should fail")
+		}
+		if _, err := h.Slice(cross, 2); err != nil {
+			t.Errorf("slice ending at the page boundary: %v", err)
+		}
+	}
+	h := NewHost()
+	h.AllocPage()
+	if err := h.Read(GuestRAMSize-2, make([]byte, 4)); err == nil {
+		t.Error("read from guest RAM into the shadow area should fail")
 	}
 }

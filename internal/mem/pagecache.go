@@ -180,12 +180,14 @@ func (c *PageCache) Privatize(hpa uint32) (uint32, error) {
 			return 0, err
 		}
 	}
-	buf := make([]byte, PageSize)
-	if err := c.host.Read(hpa, buf); err != nil {
+	// Host memory never moves, so the shared page's bytes copy straight
+	// into the fresh one.
+	shared, err := c.host.Slice(hpa, PageSize)
+	if err != nil {
 		return 0, fmt.Errorf("mem: privatize: %w", err)
 	}
 	private := c.host.AllocPage()
-	if err := c.host.Write(private, buf); err != nil {
+	if err := c.host.Write(private, shared); err != nil {
 		return 0, fmt.Errorf("mem: privatize: %w", err)
 	}
 	c.privatized++

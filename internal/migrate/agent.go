@@ -54,7 +54,10 @@ func (a *Agent) Freeze(app string) error {
 	return nil
 }
 
-// Export renders the frozen app's canonical migration image.
+// Export renders the frozen app's canonical migration image. The image
+// owns its bytes: it is encoded before Export returns, while the exported
+// deltas still alias the frozen view's pages, so a later Commit or Abort
+// cannot change it.
 func (a *Agent) Export(app, srcNode string, finalSeq uint64) ([]byte, error) {
 	a.mu.Lock()
 	f := a.frozen[app]
@@ -102,7 +105,9 @@ func (a *Agent) settle(app string, apply func(*core.FrozenView) error) error {
 }
 
 // Import restores an image on this runtime, resolving the pinned view
-// configuration through the caller's content-addressed store.
+// configuration through the caller's content-addressed store. The decoded
+// deltas alias img; the restore finishes before Import returns and keeps
+// none of them, so the caller may reuse img afterwards.
 func (a *Agent) Import(img []byte, resolve func(digest [sha256.Size]byte) (*kview.View, error)) (app string, idx, applied, skipped int, err error) {
 	im, err := Decode(img)
 	if err != nil {

@@ -80,7 +80,23 @@ func (im *Image) Encode() ([]byte, error) {
 		return nil, fmt.Errorf("migrate: %d deny entries", len(im.Denied))
 	}
 
-	b := make([]byte, 0, 64+len(im.Deltas)*(4+mem.PageSize))
+	var rec []byte
+	if im.Recovered != nil {
+		var err error
+		if rec, err = im.Recovered.MarshalBinary(); err != nil {
+			return nil, fmt.Errorf("migrate: recovered set: %w", err)
+		}
+		if len(rec) > maxRecBytes {
+			return nil, fmt.Errorf("migrate: recovered set is %d bytes", len(rec))
+		}
+	}
+
+	size := len(imageMagic) + 1 + 2 + len(im.App) + 2 + len(im.SrcNode) + sha256.Size + 8 + 8 +
+		2 + len(im.Active) +
+		4 + len(rec) +
+		4 + len(im.Deltas)*(4+mem.PageSize) +
+		4 + len(im.Denied)*(4+4+1)
+	b := make([]byte, 0, size)
 	b = append(b, imageMagic...)
 	b = append(b, imageVersion)
 	b = appendStr(b, im.App)
@@ -101,19 +117,8 @@ func (im *Image) Encode() ([]byte, error) {
 		b = append(b, f)
 	}
 
-	if im.Recovered != nil {
-		rec, err := im.Recovered.MarshalBinary()
-		if err != nil {
-			return nil, fmt.Errorf("migrate: recovered set: %w", err)
-		}
-		if len(rec) > maxRecBytes {
-			return nil, fmt.Errorf("migrate: recovered set is %d bytes", len(rec))
-		}
-		b = binary.BigEndian.AppendUint32(b, uint32(len(rec)))
-		b = append(b, rec...)
-	} else {
-		b = binary.BigEndian.AppendUint32(b, 0)
-	}
+	b = binary.BigEndian.AppendUint32(b, uint32(len(rec)))
+	b = append(b, rec...)
 
 	b = binary.BigEndian.AppendUint32(b, uint32(len(im.Deltas)))
 	var prevGPA uint32
@@ -167,6 +172,8 @@ func (im *Image) Digest() ([sha256.Size]byte, error) {
 
 // Decode parses a canonical image, rejecting any non-canonical or
 // truncated form (so encode(decode(b)) == b whenever decode accepts b).
+// The decoded deltas alias data — each Data is a window of the input —
+// so data must stay unmodified for as long as the image is in use.
 func Decode(data []byte) (*Image, error) {
 	r := &imageReader{b: data}
 	magic, err := r.bytes(len(imageMagic))
@@ -268,7 +275,7 @@ func Decode(data []byte) (*Image, error) {
 		if err != nil {
 			return nil, err
 		}
-		im.Deltas = append(im.Deltas, core.PageDelta{GPA: gpa, Data: append([]byte(nil), page...)})
+		im.Deltas = append(im.Deltas, core.PageDelta{GPA: gpa, Data: page})
 	}
 
 	nden, err := r.u32()
@@ -320,7 +327,7 @@ func (r *imageReader) bytes(n int) ([]byte, error) {
 	if len(r.b) < n {
 		return nil, fmt.Errorf("migrate: truncated image")
 	}
-	out := r.b[:n]
+	out := r.b[:n:n]
 	r.b = r.b[n:]
 	return out, nil
 }

@@ -86,6 +86,14 @@ func TestImageCanonicalRoundTrip(t *testing.T) {
 	if len(back.Deltas) != 2 || back.Deltas[1].GPA != 0x4000 || !bytes.Equal(back.Deltas[0].Data, im.Deltas[0].Data) {
 		t.Fatal("deltas mangled")
 	}
+	if cap(b) != len(b) {
+		t.Errorf("Encode allocated %d bytes for a %d-byte image", cap(b), len(b))
+	}
+	// Decoded deltas alias the image; growing one must not write into it.
+	_ = append(back.Deltas[0].Data, 0xEE)
+	if b2, _ := back.Encode(); !bytes.Equal(b, b2) {
+		t.Error("appending to a decoded delta changed the image it aliases")
+	}
 	if len(back.Denied) != 2 || back.Denied[1].Class != detect.ClassUnknownOrigin+1 {
 		t.Fatalf("deny list mangled: %+v", back.Denied)
 	}
