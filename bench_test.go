@@ -187,11 +187,13 @@ func BenchmarkAblationSwitchPoint(b *testing.B) {
 
 // --- Mechanism microbenchmarks ---
 
-// BenchmarkProfileApp measures one full profiling session.
-func BenchmarkProfileApp(b *testing.B) {
+// BenchmarkProfile measures one full profiling session of a 60-syscall
+// workload, heap included: guest boot, execution and view export.
+func BenchmarkProfile(b *testing.B) {
 	app, _ := apps.ByName("top")
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := facechange.Profile(app, facechange.ProfileConfig{Syscalls: 300}); err != nil {
+		if _, err := facechange.Profile(app, facechange.ProfileConfig{Syscalls: 60}); err != nil {
 			b.Fatal(err)
 		}
 	}

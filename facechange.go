@@ -75,6 +75,10 @@ func Profile(app apps.App, cfg ProfileConfig) (*kview.View, error) {
 	if err != nil {
 		return nil, fmt.Errorf("facechange: profile %s: %w", app.Name, err)
 	}
+	// The session owns its guest outright, and the view it returns holds
+	// only address ranges, so the guest's RAM goes back to the pool for
+	// the next session.
+	defer k.Host.Release()
 	for _, m := range app.Modules {
 		if _, err := k.LoadModule(m); err != nil {
 			return nil, fmt.Errorf("facechange: profile %s: %w", app.Name, err)

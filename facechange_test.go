@@ -1,6 +1,7 @@
 package facechange_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -348,5 +349,30 @@ func TestProfilingDeterministic(t *testing.T) {
 	b3, _ := v3.Marshal()
 	if string(b1) == string(b3) {
 		t.Fatal("distinct applications produced identical profiles")
+	}
+}
+
+// TestProfileOnRecycledRAM: a profiling session returns its guest RAM for
+// the next session to reuse, so profiling B, then A, then B again runs
+// the second B on RAM that A dirtied. Both B views must be byte-identical.
+func TestProfileOnRecycledRAM(t *testing.T) {
+	a, _ := apps.ByName("apache")
+	b, _ := apps.ByName("gzip")
+	cfg := facechange.ProfileConfig{Syscalls: 150, Seed: 3}
+	var wire [2][]byte
+	for i, app := range []apps.App{b, a, b} {
+		v, err := facechange.Profile(app, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if app.Name != b.Name {
+			continue
+		}
+		if wire[i/2], err = v.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(wire[0], wire[1]) {
+		t.Fatalf("%s profiled after %s differs from its first profile (%d vs %d bytes)", b.Name, a.Name, len(wire[1]), len(wire[0]))
 	}
 }

@@ -270,6 +270,54 @@ func TestFuncSpanZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestLoadViewStagingAllocs: a load stages into page buffers the runtime
+// keeps, so its allocations do not grow with the number of pages it
+// writes. Both views stay resident, so every measured reload interns only
+// cache hits and the difference between the two loads is staging alone.
+func TestLoadViewStagingAllocs(t *testing.T) {
+	rig := newSwitchRig(t, 1, FastOptions(), "af_packet", "snd")
+	rt := rig.rt
+	getpid := rig.k.Syms.MustAddr("sys_getpid")
+	small := kview.NewView("small")
+	small.Insert(kview.BaseKernel, getpid, getpid+1)
+	big := kview.NewView("big")
+	for i, f := range textFuncs(t, rig.k) {
+		if i%4 == 0 {
+			big.Insert(kview.BaseKernel, f.Addr, f.End())
+		}
+	}
+	staged := map[string]int{}
+	for _, cfg := range []*kview.View{small, big} {
+		if _, err := rt.LoadView(cfg); err != nil {
+			t.Fatalf("LoadView %s: %v", cfg.App, err)
+		}
+		staged[cfg.App] = rt.stage.used
+	}
+	if staged["big"] < 10*staged["small"] {
+		t.Fatalf("staged pages: big %d, small %d; want big to write many more", staged["big"], staged["small"])
+	}
+	var err error
+	reload := func(cfg *kview.View) float64 {
+		return testing.AllocsPerRun(20, func() {
+			idx, e := rt.LoadView(cfg)
+			if e == nil {
+				e = rt.UnloadView(idx)
+			}
+			if e != nil {
+				err = e
+			}
+		})
+	}
+	a, b := reload(small), reload(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("allocs/load: %.0f staging %d pages, %.0f staging %d pages", a, staged["small"], b, staged["big"])
+	if b > a+2 {
+		t.Errorf("staging %d more pages costs %.0f more allocations, want none", staged["big"]-staged["small"], b-a)
+	}
+}
+
 type emitFunc func(view string)
 
 func (f emitFunc) Emit(ev Event) {

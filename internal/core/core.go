@@ -188,6 +188,8 @@ type Runtime struct {
 	// cache interns shadow pages by content so identical pages (UD2
 	// filler, shared loaded code) are stored once across views.
 	cache *mem.PageCache
+	// stage is the view staging area every load reuses (mu held).
+	stage viewStage
 
 	// inj, when non-nil, injects faults into the runtime's guest-memory
 	// channels and EPT updates (the simulator's hook; nil in production).

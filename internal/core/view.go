@@ -150,14 +150,26 @@ func (r *Runtime) textPDBases() []uint32 { return r.pdBases }
 // the content-addressed cache. A page present in buf with a nil slice is
 // pure UD2 filler (never written), which the canonical ud2Page represents
 // without a per-view buffer.
+//
+// The runtime keeps one stage and reuses it, page buffers included, for
+// every load: loads run under the runtime's mutex, and interning copies
+// each staged page out before the next load resets the stage.
 type viewStage struct {
 	order []uint32          // page GPAs in insertion order (deterministic)
 	buf   map[uint32][]byte // GPA page → staged content; nil = pure UD2
 	mod   map[uint32]bool   // GPA page is in the module area
+	pages [][]byte          // page buffers kept across loads
+	used  int               // pages handed out since the last reset
 }
 
-func newViewStage() *viewStage {
-	return &viewStage{buf: make(map[uint32][]byte), mod: make(map[uint32]bool)}
+// reset empties the stage for a new load, keeping its page buffers.
+func (s *viewStage) reset() {
+	if s.buf == nil {
+		s.buf, s.mod = make(map[uint32][]byte), make(map[uint32]bool)
+	}
+	clear(s.buf)
+	clear(s.mod)
+	s.order, s.used = s.order[:0], 0
 }
 
 func (s *viewStage) addPage(gpaPage uint32, isMod bool) {
@@ -178,7 +190,11 @@ func (s *viewStage) write(name string, gva uint32, data []byte) error {
 			return fmt.Errorf("core: view %q has no shadow page for %#x", name, gva)
 		}
 		if buf == nil {
-			buf = make([]byte, mem.PageSize)
+			if s.used == len(s.pages) {
+				s.pages = append(s.pages, make([]byte, mem.PageSize))
+			}
+			buf = s.pages[s.used]
+			s.used++
 			copy(buf, ud2Page)
 			s.buf[gpaPage] = buf
 		}
@@ -219,7 +235,8 @@ func (r *Runtime) loadView(cfg *kview.View) (int, error) {
 		modPages:  make(map[uint32]uint32),
 		shared:    make(map[uint32]bool),
 	}
-	stage := newViewStage()
+	stage := &r.stage
+	stage.reset()
 	var hits0, misses0 uint64
 	if r.emit != nil {
 		hits0, misses0 = r.cache.HitMiss()

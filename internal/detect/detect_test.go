@@ -67,12 +67,12 @@ func TestClassificationTaxonomy(t *testing.T) {
 
 func TestVerdictsOnlyForSuspectClasses(t *testing.T) {
 	e := New(Config{Baselines: map[string]map[string]bool{"app": {"good_fn": true}}})
-	e.HandleEvent(rec("app", "good_fn+0x0", 1, nil))                                                  // lazy
-	e.HandleEvent(rec("app", "good_fn+0x4", 2, func(ev *telemetry.Event) { ev.Interrupt = true }))    // interrupt
-	e.HandleEvent(rec("app", "good_fn+0x8", 3, func(ev *telemetry.Event) { ev.Instant = true }))      // instant
-	e.HandleEvent(rec("app", "evil_fn+0x0", 4, nil))                                                  // suspicious
-	e.HandleEvent(rec("app", "UNKNOWN", 5, nil))                                                      // unknown
-	e.HandleEvent(telemetry.Event{Kind: telemetry.KindSwitch, Comm: "app"})                           // ignored
+	e.HandleEvent(rec("app", "good_fn+0x0", 1, nil))                                               // lazy
+	e.HandleEvent(rec("app", "good_fn+0x4", 2, func(ev *telemetry.Event) { ev.Interrupt = true })) // interrupt
+	e.HandleEvent(rec("app", "good_fn+0x8", 3, func(ev *telemetry.Event) { ev.Instant = true }))   // instant
+	e.HandleEvent(rec("app", "evil_fn+0x0", 4, nil))                                               // suspicious
+	e.HandleEvent(rec("app", "UNKNOWN", 5, nil))                                                   // unknown
+	e.HandleEvent(telemetry.Event{Kind: telemetry.KindSwitch, Comm: "app"})                        // ignored
 
 	st := e.Stats()
 	if st.Recoveries != 5 {

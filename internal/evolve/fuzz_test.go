@@ -17,7 +17,7 @@ import (
 // event is an attack (bit 3), the second advances the cycle counter (255
 // restarts the session, exercising the epoch logic).
 func FuzzPromotion(f *testing.F) {
-	f.Add([]byte{0x00, 10, 0x00, 120, 0x00, 120}) // benign span 0 across windows
+	f.Add([]byte{0x00, 10, 0x00, 120, 0x00, 120})           // benign span 0 across windows
 	f.Add([]byte{0x00, 10, 0x08, 5, 0x00, 120, 0x00, 120})  // attack first, benign laundering after
 	f.Add([]byte{0x00, 10, 0x00, 120, 0x08, 5, 0x00, 200})  // attack lands after crossing, before cut
 	f.Add([]byte{0x01, 255, 0x01, 255, 0x09, 1, 0x01, 120}) // session restarts interleaved

@@ -45,6 +45,10 @@ type CPU struct {
 	as   *mem.AddressSpace
 	host *mem.Host
 
+	// hints caches instruction-fetch page translations, direct mapped by
+	// GVA page. See fetchWindow.
+	hints [fetchHints]fetchHint
+
 	// Halted is set while the CPU waits for an interrupt.
 	Halted bool
 }
@@ -64,6 +68,50 @@ func (c *CPU) AddressSpace() *mem.AddressSpace { return c.as }
 // right now (through its address space and EPT).
 func (c *CPU) Mem() mem.Accessor {
 	return mem.Accessor{AS: c.as, EPT: c.EPT, Host: c.host}
+}
+
+// fetchBytes is the window an instruction is decoded from: the maximum
+// encoded instruction length.
+const fetchBytes = 16
+
+// fetchHints is the number of page-translation hints per vCPU, indexed by
+// GVA page modulo the count.
+const fetchHints = 64
+
+// fetchHint is one cached GVA page → GPA page translation of an address
+// space, as AddressSpace.TranslatePage reported it.
+type fetchHint struct {
+	as   *mem.AddressSpace
+	page uint32
+	gpa  uint32
+}
+
+// fetchWindow returns the fetchBytes bytes at eip as live host memory,
+// or nil when the window crosses a page or any translation fails; the
+// caller then takes the copying path, which reproduces its errors.
+//
+// An address space only grows, so a page translation once cached stays
+// right for as long as the hint pins its address space. The EPT is walked
+// on every fetch: view switches install other roots and copy-on-write
+// recovery retargets page tables in place, so its result is not cached.
+func (c *CPU) fetchWindow(eip uint32) []byte {
+	if eip&(mem.PageSize-1) > mem.PageSize-fetchBytes || c.as == nil {
+		return nil
+	}
+	page := mem.PageAlignDown(eip)
+	h := &c.hints[(eip>>mem.PageShift)%fetchHints]
+	if h.as != c.as || h.page != page {
+		gpa, ok := c.as.TranslatePage(page)
+		if !ok {
+			return nil
+		}
+		*h = fetchHint{as: c.as, page: page, gpa: gpa}
+	}
+	win, err := c.host.Slice(c.EPT.Translate(h.gpa|eip&(mem.PageSize-1)), fetchBytes)
+	if err != nil {
+		return nil
+	}
+	return win
 }
 
 // Push pushes a 32-bit value onto the stack.

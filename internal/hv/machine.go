@@ -88,7 +88,7 @@ type Machine struct {
 	AddrTrapExits uint64
 	UD2Exits      uint64
 
-	fetchBuf [16]byte
+	fetchBuf [fetchBytes]byte
 	// blockEnd tracks the first byte past the last completed instruction
 	// of the block being executed.
 	blockEnd uint32
@@ -179,9 +179,8 @@ func (m *Machine) runBlock(cpu *CPU) error {
 		}
 	}
 	blockStart := cpu.EIP
-	acc := cpu.Mem()
 	for {
-		in, err := m.fetch(acc, cpu.EIP)
+		in, err := m.fetch(cpu, cpu.EIP)
 		if err != nil {
 			return fmt.Errorf("fetch at %#x: %w", cpu.EIP, err)
 		}
@@ -232,7 +231,13 @@ func (m *Machine) emitBlock(cpu *CPU, start, endOverride uint32) {
 	}
 }
 
-func (m *Machine) fetch(acc mem.Accessor, eip uint32) (isa.Inst, error) {
+// fetch decodes the instruction at eip as cpu sees it. A window inside one
+// page is decoded in place; one that crosses a page is copied.
+func (m *Machine) fetch(cpu *CPU, eip uint32) (isa.Inst, error) {
+	if win := cpu.fetchWindow(eip); win != nil {
+		return isa.Decode(win), nil
+	}
+	acc := cpu.Mem()
 	buf := m.fetchBuf[:]
 	if err := acc.Read(eip, buf); err != nil {
 		// Near the end of a mapped region a full 16-byte window may fault;

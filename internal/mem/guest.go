@@ -16,6 +16,11 @@ type Region struct {
 // AddressSpace translates guest virtual to guest physical addresses for one
 // process. Kernel regions are shared by all address spaces; user regions are
 // per process, mirroring a per-process page table with a shared kernel half.
+//
+// An address space only grows: Map refuses overlaps and no region is ever
+// removed or moved. A translation that succeeded once therefore holds for
+// the address space's lifetime, which is what lets a vCPU cache
+// TranslatePage results keyed by (address space, page).
 type AddressSpace struct {
 	regions []Region // sorted by GVA
 }
@@ -60,6 +65,24 @@ func (as *AddressSpace) Translate(gva uint32) (uint32, error) {
 	return r.GPA + (gva - r.GVA), nil
 }
 
+// TranslatePage maps the page containing gva to the guest physical
+// address of its first byte. It reports ok only when one region maps the
+// whole page at a page-aligned offset, so every byte of the page
+// translates to gpaPage plus its page offset and the page is contiguous in
+// guest physical memory.
+func (as *AddressSpace) TranslatePage(gva uint32) (gpaPage uint32, ok bool) {
+	page := PageAlignDown(gva)
+	i := sort.Search(len(as.regions), func(i int) bool { return as.regions[i].GVA > page })
+	if i == 0 {
+		return 0, false
+	}
+	r := as.regions[i-1]
+	if page-r.GVA >= r.Size || r.Size-(page-r.GVA) < PageSize || (r.GPA-r.GVA)&(PageSize-1) != 0 {
+		return 0, false
+	}
+	return r.GPA + (page - r.GVA), true
+}
+
 // Accessor bundles an address space, an EPT and host memory into guest
 // virtual memory access that performs both translations page by page, so
 // accesses spanning a view boundary behave like hardware.
@@ -69,40 +92,44 @@ type Accessor struct {
 	Host *Host
 }
 
-func (a Accessor) each(gva uint32, n int, f func(hpa uint32, off, ln int) error) error {
-	off := 0
-	for n > 0 {
-		gpa, err := a.AS.Translate(gva)
-		if err != nil {
-			return err
-		}
-		hpa := a.EPT.Translate(gpa)
-		ln := int(PageSize - (gva & (PageSize - 1)))
-		if ln > n {
-			ln = n
-		}
-		if err := f(hpa, off, ln); err != nil {
-			return err
-		}
-		gva += uint32(ln)
-		off += ln
-		n -= ln
+// span returns the host bytes behind the leading part of [gva, gva+n)
+// that lies in gva's page: both translations are done once per page, and
+// the caller copies straight to or from the result.
+func (a Accessor) span(gva uint32, n int, writable bool) ([]byte, error) {
+	if ln := int(PageSize - gva&(PageSize-1)); n > ln {
+		n = ln
 	}
-	return nil
+	gpa, err := a.AS.Translate(gva)
+	if err != nil {
+		return nil, err
+	}
+	return a.Host.slice(a.EPT.Translate(gpa), n, writable)
 }
 
 // Read fills buf from guest virtual memory at gva.
 func (a Accessor) Read(gva uint32, buf []byte) error {
-	return a.each(gva, len(buf), func(hpa uint32, off, ln int) error {
-		return a.Host.Read(hpa, buf[off:off+ln])
-	})
+	for len(buf) > 0 {
+		src, err := a.span(gva, len(buf), false)
+		if err != nil {
+			return err
+		}
+		n := copy(buf, src)
+		buf, gva = buf[n:], gva+uint32(n)
+	}
+	return nil
 }
 
 // Write stores buf to guest virtual memory at gva.
 func (a Accessor) Write(gva uint32, buf []byte) error {
-	return a.each(gva, len(buf), func(hpa uint32, off, ln int) error {
-		return a.Host.Write(hpa, buf[off:off+ln])
-	})
+	for len(buf) > 0 {
+		dst, err := a.span(gva, len(buf), true)
+		if err != nil {
+			return err
+		}
+		n := copy(dst, buf)
+		buf, gva = buf[n:], gva+uint32(n)
+	}
+	return nil
 }
 
 // ReadU32 reads a little-endian 32-bit word at gva.

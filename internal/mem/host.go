@@ -1,11 +1,18 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"sync"
+)
 
 // slabPages is the number of shadow pages in one host slab.
 const slabPages = 64
 
 const slabBytes = slabPages * PageSize
+
+// dirtyWords is the size of a guest RAM dirty bitmap: one bit per page.
+const dirtyWords = GuestRAMSize / PageSize / 64
 
 // Host is the host physical memory of the simulated machine. The guest's
 // RAM occupies HPA [0, GuestRAMSize) as one contiguous array, so the
@@ -18,20 +25,86 @@ const slabBytes = slabPages * PageSize
 // of the same bytes for the host's lifetime — across any number of
 // AllocPage calls. An access above guest RAM is bounded to one shadow
 // page (consecutive AllocPage results are not contiguous in general).
+//
+// Guest RAM is recycled: Release hands it to a process-wide pool, and
+// NewHost takes it back, clearing only the pages a dirty bitmap marks as
+// touched. Every write to guest RAM goes through Slice or Write, which
+// mark the pages they hand out or touch, so the bitmap covers live views
+// written later too. Reads (Read, Accessor.Read) leave the bitmap alone.
 type Host struct {
-	ram      []byte
+	guest    *guestRAM // nil for an arena host
+	ram      []byte    // guest.buf, or empty
 	slabs    [][]byte
 	nextPage uint32   // next never-allocated HPA for AllocPage
 	freelist []uint32 // freed pages available for reuse (LIFO)
 }
 
-// NewHost creates host memory backing a guest with GuestRAMSize of RAM and
-// room for shadow pages.
-func NewHost() *Host {
-	return &Host{
-		ram:      make([]byte, GuestRAMSize),
-		nextPage: GuestRAMSize,
+// guestRAM is one guest's RAM and a bitmap of the pages written, or
+// handed out writable, since it was last cleared.
+type guestRAM struct {
+	buf   []byte
+	dirty [dirtyWords]uint64
+}
+
+// ramPool holds released guest RAM. Profiling sessions boot a guest each,
+// so without it every session would zero 40 MB it mostly never touches.
+var ramPool sync.Pool
+
+// markDirty marks the pages of [hpa, hpa+n), n > 0, as touched: one OR
+// per bitmap word, not one step per page. A word already covering the
+// range is only read, so rewrites of marked pages store nothing.
+func (g *guestRAM) markDirty(hpa uint32, n int) {
+	first, last := hpa>>PageShift, (hpa+uint32(n)-1)>>PageShift
+	for p := first; p <= last; p = (p | 63) + 1 { // p: first page in each word
+		mask := ^uint64(0) << (p % 64)
+		if last < p|63 {
+			mask &= ^uint64(0) >> (63 - last%64)
+		}
+		if w := &g.dirty[p/64]; *w&mask != mask {
+			*w |= mask
+		}
 	}
+}
+
+// scrub zeroes every dirty page, one memclr per run of adjacent dirty
+// pages, and clears the bitmap.
+func (g *guestRAM) scrub() {
+	for w, word := range g.dirty {
+		for word != 0 {
+			lo := bits.TrailingZeros64(word)
+			run := bits.TrailingZeros64(^(word >> lo))
+			page := w*64 + lo
+			clear(g.buf[page*PageSize : (page+run)*PageSize])
+			word &^= (uint64(1)<<run - 1) << lo
+		}
+		g.dirty[w] = 0
+	}
+}
+
+// NewHost creates host memory backing a guest with GuestRAMSize of RAM and
+// room for shadow pages. The RAM reads all zero: it is either fresh or a
+// released host's RAM with its dirty pages cleared.
+func NewHost() *Host {
+	g, _ := ramPool.Get().(*guestRAM)
+	if g == nil {
+		g = &guestRAM{buf: make([]byte, GuestRAMSize)}
+	} else {
+		g.scrub()
+	}
+	return &Host{guest: g, ram: g.buf, nextPage: GuestRAMSize}
+}
+
+// Release returns the host's guest RAM to the pool for the next NewHost.
+// The caller must own the host outright: neither the host nor any Slice
+// of it may be used afterwards (a later Slice of the former RAM fails,
+// but a Slice taken before Release would alias the next guest's memory).
+// Release on an arena host, or on a released one, does nothing.
+func (h *Host) Release() {
+	if h.guest == nil {
+		return
+	}
+	ramPool.Put(h.guest)
+	*h = Host{}
 }
 
 // NewArenaHost creates a host with no guest RAM reservation: a pure page
@@ -86,11 +159,19 @@ func (h *Host) Size() int { return len(h.ram) + len(h.slabs)*slabBytes }
 // inside guest RAM or inside one allocated shadow page. Host memory never
 // moves, so the view stays valid across AllocPage; a view of a shadow
 // page sees whatever the page holds next, including the zeroes of a
-// FreePage and the content of its next owner.
-func (h *Host) Slice(hpa uint32, n int) ([]byte, error) {
+// FreePage and the content of its next owner. A view of guest RAM marks
+// its pages dirty, since the caller may write through it at any time.
+func (h *Host) Slice(hpa uint32, n int) ([]byte, error) { return h.slice(hpa, n, true) }
+
+// slice is Slice for callers that say whether they will write: a read
+// cannot make a page nonzero, so only a writable view marks guest RAM.
+func (h *Host) slice(hpa uint32, n int, writable bool) ([]byte, error) {
 	if ram := uint32(len(h.ram)); hpa < ram {
 		if int(hpa)+n > len(h.ram) {
 			return nil, fmt.Errorf("mem: host access [%#x,%#x) crosses the end of guest RAM %#x", hpa, int(hpa)+n, ram)
+		}
+		if writable && n > 0 {
+			h.guest.markDirty(hpa, n)
 		}
 		return h.ram[hpa : int(hpa)+n], nil
 	}
@@ -104,22 +185,16 @@ func (h *Host) Slice(hpa uint32, n int) ([]byte, error) {
 
 // Read copies host memory at hpa into buf.
 func (h *Host) Read(hpa uint32, buf []byte) error {
-	src, err := h.Slice(hpa, len(buf))
-	if err != nil {
-		return err
-	}
-	copy(buf, src)
-	return nil
+	src, err := h.slice(hpa, len(buf), false)
+	copy(buf, src) // src is nil on error
+	return err
 }
 
 // Write copies buf into host memory at hpa.
 func (h *Host) Write(hpa uint32, buf []byte) error {
-	dst, err := h.Slice(hpa, len(buf))
-	if err != nil {
-		return err
-	}
-	copy(dst, buf)
-	return nil
+	dst, err := h.slice(hpa, len(buf), true)
+	copy(dst, buf) // dst is nil on error
+	return err
 }
 
 // ReadU32 reads a little-endian 32-bit word at hpa.

@@ -541,3 +541,119 @@ func TestHostShadowAccessBoundedToPage(t *testing.T) {
 		t.Error("read from guest RAM into the shadow area should fail")
 	}
 }
+
+// TestHostRecycledRAMReadsZero: guest RAM written through Write, through
+// an Accessor and through a live Slice — writes straddling two pages, the
+// last byte of RAM, both sides of a dirty-bitmap word boundary — is
+// cleared by the time a released host's RAM comes back from NewHost. Each
+// cycle dirties different pages and the next host must read all of RAM as
+// zero.
+func TestHostRecycledRAMReadsZero(t *testing.T) {
+	wordEdge := uint32(64 * PageSize) // first page of the second bitmap word
+	recycled := 0
+	for cycle := uint32(0); cycle < 4; cycle++ {
+		h := NewHost()
+		if i := firstNonZero(h.ram); i >= 0 {
+			t.Fatalf("cycle %d: fresh host byte %#x is %#x, want 0", cycle, i, h.ram[i])
+		}
+		shift := cycle * 3 * wordEdge
+		for _, w := range []struct {
+			hpa uint32
+			n   int
+		}{
+			{shift + 5*PageSize - 2, 4}, // straddles a page boundary
+			{wordEdge - 1 + shift, 1},   // last byte of a bitmap word
+			{wordEdge + shift, 1},       // first byte of the next word
+			{GuestRAMSize - 1, 1},       // last byte of RAM
+		} {
+			if err := h.Write(w.hpa, bytes.Repeat([]byte{0xC3}, w.n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// So does a write through guest virtual memory.
+		acc := Accessor{AS: NewAddressSpace(), EPT: NewEPT(), Host: h}
+		if err := acc.WriteU32(KernelBase+shift+9*PageSize-2, 0xDEADBEEF); err != nil {
+			t.Fatal(err)
+		}
+		// A live view dirties its pages even when written after the fact.
+		s, err := h.Slice(shift+2*wordEdge-PageSize, 2*PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s[0], s[len(s)-1] = 0xA5, 0x5A
+		buf := h.guest
+		h.Release()
+		if _, err := h.Slice(0, 1); err == nil {
+			t.Fatal("a released host still hands out its former RAM")
+		}
+		next := NewHost()
+		if next.guest == buf {
+			recycled++
+		}
+		if i := firstNonZero(next.ram); i >= 0 {
+			t.Fatalf("cycle %d: recycled RAM byte %#x is %#x, want 0", cycle, i, next.ram[i])
+		}
+		next.Release()
+	}
+	// The pool may drop entries (a GC, the race detector), so reuse is
+	// likely rather than certain.
+	t.Logf("%d of 4 hosts ran on recycled RAM", recycled)
+}
+
+// firstNonZero returns the index of the first nonzero byte of b, or -1.
+func firstNonZero(b []byte) int {
+	var zero [PageSize]byte
+	for off := 0; off < len(b); off += PageSize {
+		page := b[off:min(off+PageSize, len(b))]
+		if !bytes.Equal(page, zero[:len(page)]) {
+			return off + bytes.IndexFunc(page, func(r rune) bool { return r != 0 })
+		}
+	}
+	return -1
+}
+
+// TestDirtyMarkingMatchesPages: marking a range sets exactly the bits of
+// the pages it touches, and scrub zeroes those pages and nothing else
+// needs zeroing afterwards.
+func TestDirtyMarkingMatchesPages(t *testing.T) {
+	g := &guestRAM{buf: make([]byte, GuestRAMSize)}
+	f := func(hpa uint32, n uint32) bool {
+		hpa %= GuestRAMSize
+		n = 1 + n%(4*64*PageSize)
+		if hpa+n > GuestRAMSize {
+			n = GuestRAMSize - hpa
+		}
+		g.markDirty(hpa, int(n))
+		for p := uint32(0); p < GuestRAMSize/PageSize; p++ {
+			want := p >= hpa/PageSize && p <= (hpa+n-1)/PageSize
+			if got := g.dirty[p/64]>>(p%64)&1 == 1; got != want {
+				return false
+			}
+		}
+		// Fill the marked range (and only it) so scrub has work to do.
+		for i := hpa; i < hpa+n; i++ {
+			g.buf[i] = 0xFF
+		}
+		g.scrub()
+		return g.dirty == [dirtyWords]uint64{} &&
+			bytes.IndexByte(g.buf[PageAlignDown(hpa):PageAlignUp(hpa+n)], 0xFF) < 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestArenaHostRelease: an arena host has no guest RAM to recycle, so
+// Release leaves it untouched; a second Release of a guest host is a
+// no-op too.
+func TestArenaHostRelease(t *testing.T) {
+	a := NewArenaHost()
+	hpa := a.AllocPage()
+	a.Release()
+	if err := a.Write(hpa, []byte{1}); err != nil || a.LivePages() != 1 {
+		t.Fatalf("arena unusable after Release: %v, %d live pages", err, a.LivePages())
+	}
+	h := NewHost()
+	h.Release()
+	h.Release()
+}
