@@ -404,8 +404,8 @@ func (r *Runtime) vmiAcc(cpu *hv.CPU) mem.Access {
 }
 
 // physSlice returns n pristine guest-physical bytes at gpa (the channel
-// that feeds shadow-page contents) as a live view of guest memory,
-// subject to injected failures. Content reads are never corrupted — see
+// that feeds shadow-page contents) as a read-only live view of guest
+// memory, subject to injected failures. Content reads are never corrupted — see
 // mem.FaultPhysRead — so anything that lands in a view is byte-faithful
 // to the pristine kernel.
 func (r *Runtime) physSlice(gpa uint32, n int) ([]byte, error) {
@@ -414,7 +414,7 @@ func (r *Runtime) physSlice(gpa uint32, n int) ([]byte, error) {
 			return nil, err
 		}
 	}
-	return r.m.Host.Slice(gpa, n)
+	return r.m.Host.ReadSlice(gpa, n)
 }
 
 // scanRegion returns the n pristine bytes at gpa that back funcSpan's
@@ -426,7 +426,7 @@ func (r *Runtime) physSlice(gpa uint32, n int) ([]byte, error) {
 // land on the copy, never on guest memory.
 func (r *Runtime) scanRegion(a *recArena, gpa uint32, n int) ([]byte, error) {
 	if r.inj == nil {
-		return r.m.Host.Slice(gpa, n)
+		return r.m.Host.ReadSlice(gpa, n)
 	}
 	if err := r.inj.Fault(mem.FaultScanRead, gpa, n); err != nil {
 		return nil, err

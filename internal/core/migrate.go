@@ -13,7 +13,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"facechange/internal/kview"
 	"facechange/internal/mem"
@@ -245,27 +247,8 @@ func (r *Runtime) ExportViewState(f *FrozenView) (*ViewState, error) {
 	if err := collect(v.modPages); err != nil {
 		return nil, err
 	}
-	sortDeltas(st.Deltas)
+	slices.SortFunc(st.Deltas, func(a, b PageDelta) int { return cmp.Compare(a.GPA, b.GPA) })
 	return st, nil
-}
-
-func sortDeltas(d []PageDelta) {
-	// Insertion sort: delta counts are small (one per recovered page) and
-	// this keeps the export path dependency-free.
-	for i := 1; i < len(d); i++ {
-		for j := i; j > 0 && d[j-1].GPA > d[j].GPA; j-- {
-			d[j-1], d[j] = d[j], d[j-1]
-		}
-	}
-}
-
-// gvaForGPA inverts gpaFor: shadow pages live either in the module area or
-// the kernel direct map.
-func gvaForGPA(gpa uint32) uint32 {
-	if gpa >= mem.ModuleGPA && gpa < mem.ModuleGPA+mem.ModuleAreaSize {
-		return mem.ModuleGVA + (gpa - mem.ModuleGPA)
-	}
-	return gpa + mem.KernelBase
 }
 
 // ImportResult reports what ImportViewState materialized.
@@ -283,38 +266,30 @@ type ImportResult struct {
 
 // ImportViewState restores an exported view state on this runtime: the
 // view materializes through the ordinary content-addressed load path
-// (sharing every interned catalog page already resident), then the shipped
-// COW deltas overlay it page by page and the recovered-span set reattaches.
-// The application name binds to the new view; it installs on vCPUs through
-// ordinary context-switch traps once the guest schedules the app.
+// (sharing every interned catalog page already resident), except that each
+// shipped COW delta the view shadows is written once, straight into a
+// private page, instead of being interned and then copied on write. The
+// recovered-span set reattaches. The application name binds to the new
+// view; it installs on vCPUs through ordinary context-switch traps once
+// the guest schedules the app.
+//
+// The deltas are checked before any page is allocated: each must be one
+// page long and page aligned, with GPAs strictly ascending.
 func (r *Runtime) ImportViewState(st *ViewState) (*ImportResult, error) {
 	if st.Cfg == nil {
 		return nil, fmt.Errorf("core: import: nil view config")
 	}
+	if err := checkDeltas(st.Deltas); err != nil {
+		return nil, fmt.Errorf("core: import %q: %w", st.App, err)
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	idx, err := r.loadView(st.Cfg)
+	idx, placed, err := r.loadView(st.Cfg, st.Deltas)
 	if err != nil {
 		return nil, fmt.Errorf("core: import %q: %w", st.App, err)
 	}
 	v := r.views[idx]
-	res := &ImportResult{Index: idx}
-	for _, d := range st.Deltas {
-		if len(d.Data) != mem.PageSize {
-			r.unloadFailedImport(idx)
-			return nil, fmt.Errorf("core: import %q: delta %#x is %d bytes, want %d",
-				st.App, d.GPA, len(d.Data), mem.PageSize)
-		}
-		if _, _, ok := v.pageFor(d.GPA); !ok {
-			res.DeltasSkipped++
-			continue
-		}
-		if err := r.viewWrite(v, gvaForGPA(d.GPA), d.Data); err != nil {
-			r.unloadFailedImport(idx)
-			return nil, fmt.Errorf("core: import %q: apply delta %#x: %w", st.App, d.GPA, err)
-		}
-		res.DeltasApplied++
-	}
+	res := &ImportResult{Index: idx, DeltasApplied: placed, DeltasSkipped: len(st.Deltas) - placed}
 	if st.Recovered != nil {
 		rec := kview.UnionViews(st.Recovered.App, st.Recovered)
 		rec.App = st.Recovered.App
@@ -326,8 +301,21 @@ func (r *Runtime) ImportViewState(st *ViewState) (*ImportResult, error) {
 	return res, nil
 }
 
-// unloadFailedImport unwinds a half-applied import; the fresh view has no
-// vCPU on it yet, so the unload cannot fail.
-func (r *Runtime) unloadFailedImport(idx int) {
-	_ = r.unloadView(idx)
+// checkDeltas validates shipped deltas: one page each, page-aligned GPAs,
+// strictly ascending.
+func checkDeltas(deltas []PageDelta) error {
+	for i, d := range deltas {
+		if len(d.Data) != mem.PageSize {
+			return fmt.Errorf("delta %#x is %d bytes, want %d", d.GPA, len(d.Data), mem.PageSize)
+		}
+		if d.GPA%mem.PageSize != 0 {
+			return fmt.Errorf("delta GPA %#x not page aligned", d.GPA)
+		}
+		if i > 0 && d.GPA <= deltas[i-1].GPA {
+			return fmt.Errorf("deltas not strictly ascending at %#x", d.GPA)
+		}
+	}
+	return nil
 }
+
+func cmpDeltaGPA(d PageDelta, gpa uint32) int { return cmp.Compare(d.GPA, gpa) }

@@ -145,7 +145,7 @@ func (r *Runtime) loadMergedView(set []int, key string) (int, error) {
 		names = append(names, v.Name)
 	}
 	cfg := kview.UnionViews("shared:"+strings.Join(names, "+"), cfgs...)
-	idx, err := r.loadView(cfg)
+	idx, _, err := r.loadView(cfg, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"facechange/internal/isa"
@@ -18,6 +19,8 @@ import (
 // views share one physical copy of each identical page (the UD2 filler and
 // any identically loaded page). A shared page is immutable; kernel code
 // recovery takes a private copy first (copy-on-write, see Runtime.viewWrite).
+// A migration import places each shipped COW page straight into a private
+// page instead (see Runtime.ImportViewState).
 type LoadedView struct {
 	Name string
 	Cfg  *kview.View
@@ -31,7 +34,7 @@ type LoadedView struct {
 	// pages switched PTE-by-PTE).
 	modPages map[uint32]uint32
 	// shared marks GPA pages whose HPA is a cache-shared page that must
-	// not be written in place.
+	// not be written in place; every other page is private to the view.
 	shared map[uint32]bool
 
 	// LoadedBytes counts code bytes copied into the view at build time.
@@ -220,13 +223,18 @@ func (s *viewStage) write(name string, gva uint32, data []byte) error {
 func (r *Runtime) LoadView(cfg *kview.View) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.loadView(cfg)
+	idx, _, err := r.loadView(cfg, nil)
+	return idx, err
 }
 
-// loadView is the mu-held implementation, shared by LoadView and the
+// loadView is the mu-held implementation, shared by LoadView, the
 // shared-core trap path (which builds merged views while already holding
-// the runtime's mutex).
-func (r *Runtime) loadView(cfg *kview.View) (int, error) {
+// the runtime's mutex) and migration import. deltas, valid and sorted by
+// ascending GPA (see checkDeltas), are pages whose final content is
+// already known: each one the view shadows is placed straight into a
+// private page instead of being interned. It returns the view's index and
+// how many deltas it placed.
+func (r *Runtime) loadView(cfg *kview.View, deltas []PageDelta) (int, int, error) {
 	v := &LoadedView{
 		Name:      cfg.App,
 		Cfg:       cfg,
@@ -248,7 +256,7 @@ func (r *Runtime) loadView(cfg *kview.View) (int, error) {
 	// 2. Load configured base-kernel code, expanded to whole functions.
 	for _, rg := range cfg.Ranges(kview.BaseKernel) {
 		if err := r.stageRange(stage, v, rg.Start, rg.End, mem.KernelTextGVA, mem.KernelTextGVA+r.textSize); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 	}
 	// 3. Shadow every guest-visible module and load configured module
@@ -256,7 +264,7 @@ func (r *Runtime) loadView(cfg *kview.View) (int, error) {
 	// stay fully UD2 — excluded code.
 	mods, err := r.readModules(r.m.CPUs[0])
 	if err != nil {
-		return 0, fmt.Errorf("core: module list: %w", err)
+		return 0, 0, fmt.Errorf("core: module list: %w", err)
 	}
 	for _, mod := range mods {
 		start := mem.PageAlignDown(mod.Base)
@@ -269,12 +277,12 @@ func (r *Runtime) loadView(cfg *kview.View) (int, error) {
 		// copying them from guest RAM.
 		if off := mod.Base - start; off > 0 {
 			if err := r.stageCopy(stage, v, start, off); err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 		}
 		if tail := end - (mod.Base + mod.Size); tail > 0 {
 			if err := r.stageCopy(stage, v, mod.Base+mod.Size, tail); err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 		}
 		for _, rg := range cfg.Ranges(mod.Name) {
@@ -283,12 +291,27 @@ func (r *Runtime) loadView(cfg *kview.View) (int, error) {
 				e = mod.Base + mod.Size
 			}
 			if err := r.stageRange(stage, v, s, e, mod.Base, mod.Base+mod.Size); err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 		}
 	}
 	// 4. Intern every staged page: identical contents share one host page.
+	// A page with a delta is the exception: it gets a private page holding
+	// the delta's bytes, which is what interning the staged page and then
+	// copying it on write would leave, without the hash, the intern and
+	// the two copies.
+	placed := 0
 	for _, gpa := range stage.order {
+		if i, ok := slices.BinarySearchFunc(deltas, gpa, cmpDeltaGPA); ok {
+			hpa, err := r.placeDelta(gpa, deltas[i].Data)
+			if err != nil {
+				r.releasePages(v)
+				return 0, 0, fmt.Errorf("core: place delta %#x: %w", gpa, err)
+			}
+			v.setPage(gpa, hpa, stage.mod[gpa])
+			placed++
+			continue
+		}
 		content := stage.buf[gpa]
 		if content == nil {
 			content = ud2Page
@@ -298,14 +321,10 @@ func (r *Runtime) loadView(cfg *kview.View) (int, error) {
 			// Partial failure (cache pressure, injected intern fault) must
 			// not leak the references already interned for this view.
 			r.releasePages(v)
-			return 0, fmt.Errorf("core: intern shadow page %#x: %w", gpa, err)
+			return 0, 0, fmt.Errorf("core: intern shadow page %#x: %w", gpa, err)
 		}
 		v.shared[gpa] = true
-		if stage.mod[gpa] {
-			v.modPages[gpa] = hpa
-		} else {
-			v.textPages[gpa] = hpa
-		}
+		v.setPage(gpa, hpa, stage.mod[gpa])
 	}
 	for _, pdBase := range r.textPDBases() {
 		pt := mem.NewIdentityPT(pdBase)
@@ -337,7 +356,32 @@ func (r *Runtime) loadView(cfg *kview.View) (int, error) {
 		}
 		r.emit.Emit(telemetry.Event{Kind: telemetry.KindViewLoad, Cycle: cycle, View: v.Name, N: uint64(idx)})
 	}
-	return idx, nil
+	return idx, placed, nil
+}
+
+// setPage records the shadow page backing gpaPage.
+func (v *LoadedView) setPage(gpaPage, hpa uint32, isMod bool) {
+	if isMod {
+		v.modPages[gpaPage] = hpa
+	} else {
+		v.textPages[gpaPage] = hpa
+	}
+}
+
+// placeDelta gives a migrated page a private host page holding data. The
+// allocation is subject to the same injected failures as an Intern.
+func (r *Runtime) placeDelta(gpaPage uint32, data []byte) (uint32, error) {
+	if r.inj != nil {
+		if err := r.inj.Fault(mem.FaultIntern, gpaPage, mem.PageSize); err != nil {
+			return 0, err
+		}
+	}
+	hpa := r.m.Host.AllocPage()
+	if err := r.m.Host.Write(hpa, data); err != nil {
+		r.m.Host.FreePage(hpa)
+		return 0, err
+	}
+	return hpa, nil
 }
 
 // buildSnapshot materializes a view's shared EPT root. The text PD slots

@@ -86,9 +86,10 @@ type fetchHint struct {
 	gpa  uint32
 }
 
-// fetchWindow returns the fetchBytes bytes at eip as live host memory,
-// or nil when the window crosses a page or any translation fails; the
-// caller then takes the copying path, which reproduces its errors.
+// fetchWindow returns the fetchBytes bytes at eip as a read-only view of
+// live host memory, or nil when the window crosses a page or any
+// translation fails; the caller then takes the copying path, which
+// reproduces its errors. Fetching never marks guest RAM dirty.
 //
 // An address space only grows, so a page translation once cached stays
 // right for as long as the hint pins its address space. The EPT is walked
@@ -107,7 +108,7 @@ func (c *CPU) fetchWindow(eip uint32) []byte {
 		}
 		*h = fetchHint{as: c.as, page: page, gpa: gpa}
 	}
-	win, err := c.host.Slice(c.EPT.Translate(h.gpa|eip&(mem.PageSize-1)), fetchBytes)
+	win, err := c.host.ReadSlice(c.EPT.Translate(h.gpa|eip&(mem.PageSize-1)), fetchBytes)
 	if err != nil {
 		return nil
 	}

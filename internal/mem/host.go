@@ -163,6 +163,13 @@ func (h *Host) Size() int { return len(h.ram) + len(h.slabs)*slabBytes }
 // its pages dirty, since the caller may write through it at any time.
 func (h *Host) Slice(hpa uint32, n int) ([]byte, error) { return h.slice(hpa, n, true) }
 
+// ReadSlice is Slice for a caller that only reads: the same live view of
+// host memory, under the same bounds, but it leaves the dirty bitmap
+// alone, since a read cannot make a page nonzero. Writing through it is a
+// bug: a page written only that way would come back unscrubbed from the
+// RAM pool.
+func (h *Host) ReadSlice(hpa uint32, n int) ([]byte, error) { return h.slice(hpa, n, false) }
+
 // slice is Slice for callers that say whether they will write: a read
 // cannot make a page nonzero, so only a writable view marks guest RAM.
 func (h *Host) slice(hpa uint32, n int, writable bool) ([]byte, error) {

@@ -657,3 +657,48 @@ func TestArenaHostRelease(t *testing.T) {
 	h.Release()
 	h.Release()
 }
+
+// TestHostReadSliceLeavesBitmap: a read-only view aliases the same bytes
+// as Slice, under the same bounds, and leaves the dirty bitmap unchanged
+// wherever it lands: one byte, across pages and bitmap words, all of RAM.
+func TestHostReadSliceLeavesBitmap(t *testing.T) {
+	h := NewHost()
+	defer h.Release()
+	if err := h.Write(3*PageSize, []byte{0x42}); err != nil {
+		t.Fatal(err)
+	}
+	before := h.guest.dirty
+	for _, r := range []struct {
+		hpa uint32
+		n   int
+	}{
+		{3 * PageSize, 1},
+		{64*PageSize - 8, 16},
+		{0, int(GuestRAMSize)},
+		{GuestRAMSize - 1, 1},
+	} {
+		ro, err := h.ReadSlice(r.hpa, r.n)
+		if err != nil {
+			t.Fatalf("ReadSlice(%#x, %d): %v", r.hpa, r.n, err)
+		}
+		if h.guest.dirty != before {
+			t.Fatalf("ReadSlice(%#x, %d) changed the dirty bitmap", r.hpa, r.n)
+		}
+		if len(ro) != r.n || &ro[0] != &h.ram[r.hpa] {
+			t.Fatalf("ReadSlice(%#x, %d) is not a live view of RAM", r.hpa, r.n)
+		}
+	}
+	if ro, _ := h.ReadSlice(3*PageSize, 1); ro[0] != 0x42 {
+		t.Fatalf("ReadSlice reads %#x, want 0x42", ro[0])
+	}
+	if _, err := h.ReadSlice(GuestRAMSize-1, 2); err == nil {
+		t.Error("ReadSlice crossing the end of RAM succeeded")
+	}
+	shadow := h.AllocPage()
+	if _, err := h.ReadSlice(shadow+1, PageSize); err == nil {
+		t.Error("ReadSlice crossing a shadow page succeeded")
+	}
+	if h.guest.dirty != before {
+		t.Fatal("failed ReadSlice calls changed the dirty bitmap")
+	}
+}

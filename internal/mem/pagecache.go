@@ -64,7 +64,9 @@ type CacheStats struct {
 	// BytesSavedTotal is the monotonic counter: one page of copying avoided
 	// for every Intern hit over the cache's lifetime. Fleet delta-sync
 	// asserts on this — a node joining an already-warm host must land here,
-	// not in fresh allocations.
+	// not in fresh allocations. A migration import interns only the pages
+	// it keeps shared: a shipped delta goes straight into a private page
+	// and counts neither here nor as a hit or miss.
 	BytesSavedTotal uint64
 	// Hits and Misses count Intern calls that reused respectively created
 	// a page. Privatized counts copy-on-write detachments.

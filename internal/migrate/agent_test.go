@@ -172,10 +172,11 @@ func TestExportOutlivesCommit(t *testing.T) {
 }
 
 // BenchmarkMigrateCycle measures one live migration between two runtimes
-// in host time and heap: freeze, export (encode), import (decode, load,
-// apply deltas) and commit, with the view moving back and forth. The view
-// carries 128 COW pages, a 525 KB image; perfbench's local-zipf migrations
-// ship a median of 591 KB.
+// in host time and heap: freeze, export (encode), import (decode, then a
+// view load that writes each delta straight into a private page and
+// interns the rest) and commit, with the view moving back and forth. The
+// view carries 128 COW pages, a 525 KB image; perfbench's local-zipf
+// migrations ship a median of 591 KB.
 func BenchmarkMigrateCycle(b *testing.B) {
 	nodes := [2]*agentNode{newAgentNode(b), newAgentNode(b)}
 	cfg := textView(b, nodes[0].k, "webapp", 0, 4)
@@ -198,5 +199,75 @@ func BenchmarkMigrateCycle(b *testing.B) {
 		if err := src.agent.Commit("webapp"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestRoundTripReExportsSame: a view moved A→B→A exports the same image
+// as it did before it left (same deltas, same recovered set, byte for
+// byte under the same source node and sequence), and each node's cache
+// and host pages balance once its copy of the view is gone — after the
+// source commit, and after unloading the view that came back.
+func TestRoundTripReExportsSame(t *testing.T) {
+	a, b := newAgentNode(t), newAgentNode(t)
+	liveA, liveB := a.k.M.Host.LivePages(), b.k.M.Host.LivePages()
+	cfg := textView(t, a.k, "webapp", 0, 4)
+	rec := kview.NewView("webapp")
+	fn := cfg.Ranges(kview.BaseKernel)[1]
+	rec.Insert(kview.BaseKernel, fn.Start, fn.End)
+	im, err := migrate.BuildImage(&core.ViewState{App: "webapp", Cfg: cfg, Recovered: rec, Deltas: patternDeltas(16)}, "seed", 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, err := im.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, _, err := a.agent.Import(seed, resolver(cfg)); err != nil {
+		t.Fatal(err)
+	}
+	move := func(src, dst *agentNode, srcLive int) []byte {
+		t.Helper()
+		if err := src.agent.Freeze("webapp"); err != nil {
+			t.Fatal(err)
+		}
+		img, err := src.agent.Export("webapp", "node-0", 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, applied, skipped, err := dst.agent.Import(img, resolver(cfg)); err != nil || applied != 16 || skipped != 0 {
+			t.Fatalf("import: applied %d skipped %d err %v", applied, skipped, err)
+		}
+		if err := src.agent.Commit("webapp"); err != nil {
+			t.Fatal(err)
+		}
+		if st := src.rt.CacheStats(); st.DistinctPages != 0 {
+			t.Fatalf("%d cached pages left on the source after commit", st.DistinctPages)
+		}
+		if live := src.k.M.Host.LivePages(); live != srcLive {
+			t.Fatalf("%d host pages live on the source after commit, want %d", live, srcLive)
+		}
+		return img
+	}
+	first := move(a, b, liveA)
+	move(b, a, liveB)
+	if err := a.agent.Freeze("webapp"); err != nil {
+		t.Fatal(err)
+	}
+	again, err := a.agent.Export("webapp", "node-0", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, first) {
+		t.Fatal("the view exports a different image after the round trip")
+	}
+	if err := a.agent.Abort("webapp"); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.rt.UnloadView(a.rt.ViewIndex("webapp")); err != nil {
+		t.Fatal(err)
+	}
+	if st := a.rt.CacheStats(); st.DistinctPages != 0 || a.k.M.Host.LivePages() != liveA {
+		t.Fatalf("after unloading the returned view: %d cached pages, %d live host pages (want 0, %d)",
+			st.DistinctPages, a.k.M.Host.LivePages(), liveA)
 	}
 }

@@ -87,9 +87,10 @@ func BuildImage(st *core.ViewState, srcNode string, finalSeq uint64, evoSt *evol
 // view configuration reassembled from the target's own chunk store; its
 // content digest must match the image's pin — the proof that no catalog
 // content traveled, only deltas. The view materializes through the
-// ordinary load path (interned pages shared), the deltas overlay it, the
-// recovered set reattaches, and — when an evolver is attached — the
-// generation and deny-list merge newest-wins.
+// ordinary load path (interned pages shared), except that each delta is
+// written once, straight into a private page, in place of the page it
+// replaces; the recovered set reattaches, and — when an evolver is
+// attached — the generation and deny-list merge newest-wins.
 func Restore(rt *core.Runtime, evo *evolve.Evolver, im *Image, cfg *kview.View) (*core.ImportResult, error) {
 	if cfg == nil {
 		return nil, fmt.Errorf("migrate: restore %q: nil view config", im.App)
