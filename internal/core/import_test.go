@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"maps"
+	"slices"
 	"testing"
 
 	"facechange/internal/kview"
@@ -285,5 +286,67 @@ func TestImportDeltasSkipTheCache(t *testing.T) {
 	t.Logf("allocs/import: %.0f with 1 delta, %.0f with 128", a, b)
 	if b > a+4-127 {
 		t.Errorf("127 more deltas save %.0f allocations, want at least 127 (one cache entry each)", a-b)
+	}
+}
+
+// TestImportStagesNoDeltaPages: an import writes nothing into the staged
+// pages its deltas replace. With a delta for every page the view shadows,
+// the stage hands out no page buffer; with a delta for every other page,
+// it hands out exactly one for each code-bearing page left without a
+// delta. LoadedBytes is the same as a plain LoadView's either way, since
+// staging still counts the bytes it skips.
+func TestImportStagesNoDeltaPages(t *testing.T) {
+	ir := newImportRig(t, FastOptions())
+	rt := ir.rt
+	idx, err := rt.LoadView(ir.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainBytes := rt.ViewByIndex(idx).LoadedBytes
+	var pages []uint32
+	code := map[uint32]bool{}
+	for gpa, buf := range rt.stage.buf {
+		pages = append(pages, gpa)
+		code[gpa] = buf != nil
+	}
+	slices.Sort(pages)
+	if err := rt.UnloadView(idx); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		every int // a delta on every every-th shadowed page
+	}{{"all", 1}, {"half", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var deltas []PageDelta
+			want := 0 // code-bearing pages without a delta
+			for i, gpa := range pages {
+				if i%tc.every == 0 {
+					deltas = append(deltas, PageDelta{GPA: gpa, Data: bytes.Repeat([]byte{byte(i)}, mem.PageSize)})
+				} else if code[gpa] {
+					want++
+				}
+			}
+			if tc.every > 1 && (want == 0 || len(deltas) == len(pages)) {
+				t.Fatalf("%d of %d pages get deltas, %d code pages do not; the case proves nothing", len(deltas), len(pages), want)
+			}
+			res, err := rt.ImportViewState(&ViewState{App: "webapp", Cfg: ir.cfg, Deltas: deltas})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.DeltasApplied != len(deltas) {
+				t.Fatalf("applied %d of %d deltas", res.DeltasApplied, len(deltas))
+			}
+			if got := rt.stage.used; got != want {
+				t.Errorf("import staged %d pages, want %d (the code pages without a delta)", got, want)
+			}
+			if got := rt.ViewByIndex(res.Index).LoadedBytes; got != plainBytes {
+				t.Errorf("LoadedBytes = %d, want %d as for a plain load", got, plainBytes)
+			}
+			if err := rt.UnloadView(res.Index); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

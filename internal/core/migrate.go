@@ -36,9 +36,11 @@ type PageDelta struct {
 //
 // An exported state does not own its page bytes: each delta's Data
 // aliases the frozen view's private page in host memory. It is valid
-// until the view is committed (its pages are freed and reused) or thawed
-// (recovery may write them again), so encode it — or copy what must
+// until the view is committed or thawed, so encode it — or copy what must
 // outlive the decision — before calling CommitMigration or ThawView.
+// After a commit the pages are freed but not cleared: a delta used then
+// reads the page's old bytes, and whatever its next owner writes once the
+// page is reused. After a thaw, recovery may write the pages again.
 type ViewState struct {
 	App string
 	// Cfg is the view configuration (the catalog content). The wire image

@@ -154,25 +154,40 @@ func (r *Runtime) textPDBases() []uint32 { return r.pdBases }
 // pure UD2 filler (never written), which the canonical ud2Page represents
 // without a per-view buffer.
 //
+// A migration import's deltas already hold the final content of their
+// pages, so the stage writes nothing into them: such a page never gets a
+// buffer, and step 4 of loadView places the delta instead.
+//
 // The runtime keeps one stage and reuses it, page buffers included, for
 // every load: loads run under the runtime's mutex, and interning copies
 // each staged page out before the next load resets the stage.
 type viewStage struct {
-	order []uint32          // page GPAs in insertion order (deterministic)
-	buf   map[uint32][]byte // GPA page → staged content; nil = pure UD2
-	mod   map[uint32]bool   // GPA page is in the module area
-	pages [][]byte          // page buffers kept across loads
-	used  int               // pages handed out since the last reset
+	order  []uint32          // page GPAs in insertion order (deterministic)
+	buf    map[uint32][]byte // GPA page → staged content; nil = pure UD2 or a delta
+	mod    map[uint32]bool   // GPA page is in the module area
+	deltas []PageDelta       // the load's deltas, sorted by GPA
+	pages  [][]byte          // page buffers kept across loads
+	used   int               // pages handed out since the last reset
 }
 
-// reset empties the stage for a new load, keeping its page buffers.
-func (s *viewStage) reset() {
+// reset empties the stage for a new load with the given sorted deltas,
+// keeping its page buffers.
+func (s *viewStage) reset(deltas []PageDelta) {
 	if s.buf == nil {
 		s.buf, s.mod = make(map[uint32][]byte), make(map[uint32]bool)
 	}
 	clear(s.buf)
 	clear(s.mod)
-	s.order, s.used = s.order[:0], 0
+	s.order, s.deltas, s.used = s.order[:0], deltas, 0
+}
+
+// hasDelta reports whether gpaPage has a delta in the current load.
+func (s *viewStage) hasDelta(gpaPage uint32) bool {
+	if len(s.deltas) == 0 {
+		return false
+	}
+	_, ok := slices.BinarySearchFunc(s.deltas, gpaPage, cmpDeltaGPA)
+	return ok
 }
 
 func (s *viewStage) addPage(gpaPage uint32, isMod bool) {
@@ -184,7 +199,8 @@ func (s *viewStage) addPage(gpaPage uint32, isMod bool) {
 	s.order = append(s.order, gpaPage)
 }
 
-// write overlays data at gva onto the staged pages.
+// write overlays data at gva onto the staged pages, skipping the bytes
+// of pages that have a delta.
 func (s *viewStage) write(name string, gva uint32, data []byte) error {
 	for len(data) > 0 {
 		gpaPage := mem.PageAlignDown(gpaFor(gva))
@@ -192,7 +208,9 @@ func (s *viewStage) write(name string, gva uint32, data []byte) error {
 		if !ok {
 			return fmt.Errorf("core: view %q has no shadow page for %#x", name, gva)
 		}
-		if buf == nil {
+		off := gva & (mem.PageSize - 1)
+		n := min(int(mem.PageSize-off), len(data))
+		if buf == nil && !s.hasDelta(gpaPage) {
 			if s.used == len(s.pages) {
 				s.pages = append(s.pages, make([]byte, mem.PageSize))
 			}
@@ -201,12 +219,9 @@ func (s *viewStage) write(name string, gva uint32, data []byte) error {
 			copy(buf, ud2Page)
 			s.buf[gpaPage] = buf
 		}
-		off := gva & (mem.PageSize - 1)
-		n := int(mem.PageSize - off)
-		if n > len(data) {
-			n = len(data)
+		if buf != nil {
+			copy(buf[off:], data[:n])
 		}
-		copy(buf[off:], data[:n])
 		gva += uint32(n)
 		data = data[n:]
 	}
@@ -231,9 +246,12 @@ func (r *Runtime) LoadView(cfg *kview.View) (int, error) {
 // shared-core trap path (which builds merged views while already holding
 // the runtime's mutex) and migration import. deltas, valid and sorted by
 // ascending GPA (see checkDeltas), are pages whose final content is
-// already known: each one the view shadows is placed straight into a
-// private page instead of being interned. It returns the view's index and
-// how many deltas it placed.
+// already known: staging writes none of their bytes, and each one the
+// view shadows is placed straight into a private page instead of being
+// interned. Staging still counts the bytes it skips in LoadedBytes and
+// still expands ranges to whole functions, so a view's LoadedBytes does
+// not depend on its deltas. It returns the view's index and how many
+// deltas it placed.
 func (r *Runtime) loadView(cfg *kview.View, deltas []PageDelta) (int, int, error) {
 	v := &LoadedView{
 		Name:      cfg.App,
@@ -244,7 +262,8 @@ func (r *Runtime) loadView(cfg *kview.View, deltas []PageDelta) (int, int, error
 		shared:    make(map[uint32]bool),
 	}
 	stage := &r.stage
-	stage.reset()
+	stage.reset(deltas)
+	defer func() { stage.deltas = nil }() // do not keep the image alive
 	var hits0, misses0 uint64
 	if r.emit != nil {
 		hits0, misses0 = r.cache.HitMiss()
@@ -297,9 +316,9 @@ func (r *Runtime) loadView(cfg *kview.View, deltas []PageDelta) (int, int, error
 	}
 	// 4. Intern every staged page: identical contents share one host page.
 	// A page with a delta is the exception: it gets a private page holding
-	// the delta's bytes, which is what interning the staged page and then
-	// copying it on write would leave, without the hash, the intern and
-	// the two copies.
+	// the delta's bytes, which is what staging and interning the page and
+	// then copying it on write would leave, without the staging, the hash,
+	// the intern and the copies: the delta is written once.
 	placed := 0
 	for _, gpa := range stage.order {
 		if i, ok := slices.BinarySearchFunc(deltas, gpa, cmpDeltaGPA); ok {
@@ -368,7 +387,8 @@ func (v *LoadedView) setPage(gpaPage, hpa uint32, isMod bool) {
 	}
 }
 
-// placeDelta gives a migrated page a private host page holding data. The
+// placeDelta gives a migrated page a private host page holding data, one
+// page long (checkDeltas), written once by the allocation itself. The
 // allocation is subject to the same injected failures as an Intern.
 func (r *Runtime) placeDelta(gpaPage uint32, data []byte) (uint32, error) {
 	if r.inj != nil {
@@ -376,12 +396,7 @@ func (r *Runtime) placeDelta(gpaPage uint32, data []byte) (uint32, error) {
 			return 0, err
 		}
 	}
-	hpa := r.m.Host.AllocPage()
-	if err := r.m.Host.Write(hpa, data); err != nil {
-		r.m.Host.FreePage(hpa)
-		return 0, err
-	}
-	return hpa, nil
+	return r.m.Host.AllocPage(data), nil
 }
 
 // buildSnapshot materializes a view's shared EPT root. The text PD slots

@@ -78,13 +78,13 @@ func TestFetchInPlaceMatchesCopy(t *testing.T) {
 			pristine := fillRandom(t, h, rng, pg.gpa, 2*mem.PageSize)[:mem.PageSize]
 			checkPage(t, m, cpu, pg.gva, pristine)
 
-			shadow := h.AllocPage()
+			shadow := h.AllocPage(nil)
 			viaPTE := fillRandom(t, h, rng, shadow, mem.PageSize)
 			cpu.EPT.SetPTE(pg.gpa, shadow)
 			checkPage(t, m, cpu, pg.gva, viaPTE)
 
 			root := mem.NewRoot()
-			other := h.AllocPage()
+			other := h.AllocPage(nil)
 			viaRoot := fillRandom(t, h, rng, other, mem.PageSize)
 			root.SetPTE(pg.gpa, other)
 			cpu.EPT.SetRoot(root)

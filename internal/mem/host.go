@@ -116,33 +116,47 @@ func NewArenaHost() *Host {
 	return &Host{}
 }
 
-// AllocPage allocates one zeroed host page outside guest RAM and returns
-// its HPA. Freed pages are reused before the bump pointer advances, so
-// long view load/unload churn keeps host memory bounded by the peak live
-// set — and a double-free becomes an observable aliasing bug instead of a
-// silent leak.
-func (h *Host) AllocPage() uint32 {
+// AllocPage allocates one host page outside guest RAM, fills it with
+// content, and returns its HPA. content must be exactly one page, or
+// empty (nil) for a zero page; any other length panics. A page is defined
+// when it is allocated, not when it is freed: a recycled page holds its
+// previous owner's bytes until AllocPage overwrites all of them, so a
+// caller that passes its bytes in pays one copy and no clear. Freed pages
+// are reused before the bump pointer advances, so long view load/unload
+// churn keeps host memory bounded by the peak live set — and a
+// double-free becomes an observable aliasing bug instead of a silent leak.
+func (h *Host) AllocPage(content []byte) uint32 {
+	if len(content) != 0 && len(content) != PageSize {
+		panic(fmt.Sprintf("mem: alloc page of %d bytes, want %d or 0", len(content), PageSize))
+	}
+	var hpa uint32
 	if n := len(h.freelist); n > 0 {
-		hpa := h.freelist[n-1]
+		hpa = h.freelist[n-1]
 		h.freelist = h.freelist[:n-1]
-		return hpa
+	} else {
+		hpa = h.nextPage
+		if (hpa-uint32(len(h.ram)))%slabBytes == 0 {
+			h.slabs = append(h.slabs, make([]byte, slabBytes))
+		}
+		h.nextPage += PageSize
 	}
-	hpa := h.nextPage
-	if (hpa-uint32(len(h.ram)))%slabBytes == 0 {
-		h.slabs = append(h.slabs, make([]byte, slabBytes))
+	page, _ := h.Slice(hpa, PageSize) // in bounds: an allocated shadow page
+	if len(content) == 0 {
+		clear(page)
+	} else {
+		copy(page, content)
 	}
-	h.nextPage += PageSize
 	return hpa
 }
 
-// FreePage releases a previously allocated page: it is zeroed and queued
-// for reuse by AllocPage. Freeing anything but a shadow page panics.
+// FreePage releases a previously allocated page and queues it for reuse
+// by AllocPage. The page keeps its bytes: no EPT maps it anymore (a view
+// unload reverts every vCPU first), and its next owner overwrites all of
+// it. Freeing anything but a shadow page panics.
 func (h *Host) FreePage(hpa uint32) {
-	page, err := h.Slice(hpa, PageSize)
-	if err != nil || hpa < uint32(len(h.ram)) {
+	if _, err := h.ReadSlice(hpa, PageSize); err != nil || hpa < uint32(len(h.ram)) {
 		panic(fmt.Sprintf("mem: free of %#x, not a shadow page", hpa))
 	}
-	clear(page)
 	h.freelist = append(h.freelist, hpa)
 }
 
@@ -158,8 +172,8 @@ func (h *Host) Size() int { return len(h.ram) + len(h.slabs)*slabBytes }
 // Slice returns a live view of host memory [hpa, hpa+n), which must lie
 // inside guest RAM or inside one allocated shadow page. Host memory never
 // moves, so the view stays valid across AllocPage; a view of a shadow
-// page sees whatever the page holds next, including the zeroes of a
-// FreePage and the content of its next owner. A view of guest RAM marks
+// page sees whatever the page holds next: the same bytes after FreePage,
+// then what its next owner's AllocPage puts in. A view of guest RAM marks
 // its pages dirty, since the caller may write through it at any time.
 func (h *Host) Slice(hpa uint32, n int) ([]byte, error) { return h.slice(hpa, n, true) }
 

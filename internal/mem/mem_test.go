@@ -48,7 +48,7 @@ func TestHostAllocPagesDisjoint(t *testing.T) {
 	h := NewHost()
 	seen := map[uint32]bool{}
 	for i := 0; i < 100; i++ {
-		hpa := h.AllocPage()
+		hpa := h.AllocPage(nil)
 		if hpa < GuestRAMSize {
 			t.Fatalf("allocated page %#x inside guest RAM", hpa)
 		}
@@ -108,7 +108,7 @@ func TestHostGrowthPreservesContents(t *testing.T) {
 	}
 	initial := h.Size()
 	for h.Size() == initial {
-		h.AllocPage()
+		h.AllocPage(nil)
 	}
 	got := make([]byte, 3)
 	if err := h.Read(100, got); err != nil {
@@ -250,7 +250,7 @@ func TestAccessorCrossPageReadWrite(t *testing.T) {
 
 	// Redirect the second page of kernel text to a shadow page so that a
 	// write spanning the boundary lands in two different host pages.
-	shadow := h.AllocPage()
+	shadow := h.AllocPage(nil)
 	e.SetPTE(KernelTextGPA+PageSize, shadow)
 
 	gva := KernelTextGVA + PageSize - 2
@@ -290,7 +290,7 @@ func TestAccessorReadPhysBypassesEPT(t *testing.T) {
 	if err := h.Write(KernelTextGPA, []byte{0x11}); err != nil {
 		t.Fatal(err)
 	}
-	shadow := h.AllocPage()
+	shadow := h.AllocPage(nil)
 	if err := h.Write(shadow, []byte{0x22}); err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestAccessorFaultOnUnmapped(t *testing.T) {
 func TestEPTSetClearProperty(t *testing.T) {
 	h := NewHost()
 	e := NewEPT()
-	shadow := h.AllocPage()
+	shadow := h.AllocPage(nil)
 	f := func(gpaRaw uint32, off uint16) bool {
 		gpa := (gpaRaw % (GuestRAMSize - PageSize)) &^ (PageSize - 1)
 		o := uint32(off) % PageSize
@@ -407,8 +407,8 @@ func TestHostFreelistReuse(t *testing.T) {
 }
 
 func testFreelistReuse(t *testing.T, h *Host) {
-	a := h.AllocPage()
-	b := h.AllocPage()
+	a := h.AllocPage(nil)
+	b := h.AllocPage(nil)
 	if got := h.LivePages(); got != 2 {
 		t.Fatalf("LivePages = %d after two allocs, want 2", got)
 	}
@@ -421,10 +421,10 @@ func testFreelistReuse(t *testing.T, h *Host) {
 
 	// LIFO reuse: the most recently freed page comes back first, and no
 	// fresh pages are minted while freed ones exist.
-	if got := h.AllocPage(); got != b {
+	if got := h.AllocPage(nil); got != b {
 		t.Errorf("first realloc = %#x, want recycled %#x", got, b)
 	}
-	if got := h.AllocPage(); got != a {
+	if got := h.AllocPage(nil); got != a {
 		t.Errorf("second realloc = %#x, want recycled %#x", got, a)
 	}
 	size := h.Size()
@@ -432,7 +432,7 @@ func testFreelistReuse(t *testing.T, h *Host) {
 	// Steady-state churn never grows host memory.
 	for i := 0; i < 10000; i++ {
 		h.FreePage(a)
-		if got := h.AllocPage(); got != a {
+		if got := h.AllocPage(nil); got != a {
 			t.Fatalf("churn iteration %d allocated %#x, want %#x", i, got, a)
 		}
 	}
@@ -443,12 +443,13 @@ func testFreelistReuse(t *testing.T, h *Host) {
 		t.Errorf("LivePages = %d after churn, want 2", got)
 	}
 
-	// A recycled page is zeroed, same as a fresh one.
+	// A recycled page allocated without content is zeroed, same as a
+	// fresh one.
 	if err := h.Write(a, []byte{0xAA}); err != nil {
 		t.Fatal(err)
 	}
 	h.FreePage(a)
-	got := h.AllocPage()
+	got := h.AllocPage(nil)
 	buf := make([]byte, 1)
 	if err := h.Read(got, buf); err != nil {
 		t.Fatal(err)
@@ -458,25 +459,64 @@ func testFreelistReuse(t *testing.T, h *Host) {
 	}
 }
 
-// TestHostFreePageZeroes: a freed page reads all zeros, every byte of it,
-// and so does its next owner, on both host kinds.
-func TestHostFreePageZeroes(t *testing.T) {
-	for _, h := range []*Host{NewHost(), NewArenaHost()} {
-		hpa := h.AllocPage()
-		if err := h.Write(hpa, bytes.Repeat([]byte{0xA5}, PageSize)); err != nil {
-			t.Fatal(err)
-		}
-		h.FreePage(hpa)
-		page := make([]byte, PageSize)
-		if err := h.Read(hpa, page); err != nil {
-			t.Fatal(err)
-		}
-		if i := bytes.IndexFunc(page, func(r rune) bool { return r != 0 }); i >= 0 {
-			t.Fatalf("freed page %#x byte %d is %#x, want 0", hpa, i, page[i])
-		}
-		if got := h.AllocPage(); got != hpa {
-			t.Fatalf("realloc = %#x, want the freed page %#x back", got, hpa)
-		}
+// TestHostAllocPageDefinesContent: a page is defined when it is allocated.
+// On both host kinds, a fresh page and a page recycled after a write of
+// 0xA5 and a free read all zeros from AllocPage(nil) and exactly p from
+// AllocPage(p); a content of any length but 0 or one page panics.
+func TestHostAllocPageDefinesContent(t *testing.T) {
+	p := make([]byte, PageSize)
+	for i := range p {
+		p[i] = byte(i*7 + 3)
+	}
+	zero := make([]byte, PageSize)
+	for _, tc := range []struct {
+		name string
+		host func() *Host
+	}{{"guest", NewHost}, {"arena", NewArenaHost}} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := tc.host()
+			check := func(what string, hpa uint32, want []byte) {
+				t.Helper()
+				page := make([]byte, PageSize)
+				if err := h.Read(hpa, page); err != nil {
+					t.Fatal(err)
+				}
+				for i := range page {
+					if page[i] != want[i] {
+						t.Fatalf("%s page %#x byte %d is %#x, want %#x", what, hpa, i, page[i], want[i])
+					}
+				}
+			}
+			for _, c := range []struct {
+				what          string
+				content, want []byte
+			}{{"zero", nil, zero}, {"empty", []byte{}, zero}, {"filled", p, p}} {
+				check("fresh "+c.what, h.AllocPage(c.content), c.want)
+				freed := h.AllocPage(nil)
+				if err := h.Write(freed, bytes.Repeat([]byte{0xA5}, PageSize)); err != nil {
+					t.Fatal(err)
+				}
+				h.FreePage(freed)
+				if got := h.AllocPage(c.content); got != freed {
+					t.Fatalf("realloc = %#x, want the freed page %#x back", got, freed)
+				}
+				check("recycled "+c.what, freed, c.want)
+			}
+			live := h.LivePages()
+			for _, n := range []int{1, PageSize - 1, PageSize + 1} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("AllocPage of %d bytes did not panic", n)
+						}
+					}()
+					h.AllocPage(make([]byte, n))
+				}()
+			}
+			if got := h.LivePages(); got != live {
+				t.Errorf("LivePages = %d after the refused allocations, want %d", got, live)
+			}
+		})
 	}
 }
 
@@ -489,13 +529,13 @@ func TestHostSliceSurvivesAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := h.AllocPage()
+	first := h.AllocPage(nil)
 	shadow, err := h.Slice(first, PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 1000; i++ {
-		h.AllocPage()
+		h.AllocPage(nil)
 	}
 	ram[0], shadow[PageSize-1] = 0x5A, 0x6B
 	if b, err := h.ReadU32(0x3000); err != nil || byte(b) != 0x5A {
@@ -513,8 +553,8 @@ func TestHostSliceSurvivesAllocation(t *testing.T) {
 // guest RAM into the shadow area either.
 func TestHostShadowAccessBoundedToPage(t *testing.T) {
 	for _, h := range []*Host{NewHost(), NewArenaHost()} {
-		a := h.AllocPage()
-		h.AllocPage()
+		a := h.AllocPage(nil)
+		h.AllocPage(nil)
 		cross := a + PageSize - 2
 		if err := h.Read(cross, make([]byte, 4)); err == nil {
 			t.Error("read across a shadow-page boundary should fail")
@@ -536,7 +576,7 @@ func TestHostShadowAccessBoundedToPage(t *testing.T) {
 		}
 	}
 	h := NewHost()
-	h.AllocPage()
+	h.AllocPage(nil)
 	if err := h.Read(GuestRAMSize-2, make([]byte, 4)); err == nil {
 		t.Error("read from guest RAM into the shadow area should fail")
 	}
@@ -648,7 +688,7 @@ func TestDirtyMarkingMatchesPages(t *testing.T) {
 // no-op too.
 func TestArenaHostRelease(t *testing.T) {
 	a := NewArenaHost()
-	hpa := a.AllocPage()
+	hpa := a.AllocPage(nil)
 	a.Release()
 	if err := a.Write(hpa, []byte{1}); err != nil || a.LivePages() != 1 {
 		t.Fatalf("arena unusable after Release: %v, %d live pages", err, a.LivePages())
@@ -694,7 +734,7 @@ func TestHostReadSliceLeavesBitmap(t *testing.T) {
 	if _, err := h.ReadSlice(GuestRAMSize-1, 2); err == nil {
 		t.Error("ReadSlice crossing the end of RAM succeeded")
 	}
-	shadow := h.AllocPage()
+	shadow := h.AllocPage(nil)
 	if _, err := h.ReadSlice(shadow+1, PageSize); err == nil {
 		t.Error("ReadSlice crossing a shadow page succeeded")
 	}

@@ -129,10 +129,7 @@ func (c *PageCache) internHashed(h uint64, content []byte) (uint32, error) {
 			return 0, err
 		}
 	}
-	hpa := c.host.AllocPage()
-	if err := c.host.Write(hpa, content); err != nil {
-		return 0, fmt.Errorf("mem: intern: %w", err)
-	}
+	hpa := c.host.AllocPage(content)
 	c.byHash[h] = append(c.byHash[h], hpa)
 	c.entries[hpa] = &cacheEntry{hash: h, refs: 1}
 	c.misses++
@@ -188,10 +185,7 @@ func (c *PageCache) Privatize(hpa uint32) (uint32, error) {
 	if err != nil {
 		return 0, fmt.Errorf("mem: privatize: %w", err)
 	}
-	private := c.host.AllocPage()
-	if err := c.host.Write(private, shared); err != nil {
-		return 0, fmt.Errorf("mem: privatize: %w", err)
-	}
+	private := c.host.AllocPage(shared)
 	c.privatized++
 	c.releaseLocked(hpa)
 	return private, nil

@@ -194,7 +194,7 @@ func TestPageCachePrivatizeCopiesAndDetaches(t *testing.T) {
 
 func TestPageCachePrivatizeLastRefKeepsContentReadable(t *testing.T) {
 	// Privatize of the only reference must copy the bytes before the shared
-	// page is freed (FreePage zeroes it).
+	// page is freed and handed to its next owner.
 	h := NewHost()
 	c := NewPageCache(h)
 	shared, _ := c.Intern(pageFilled(0xEE))

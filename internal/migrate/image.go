@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"facechange/internal/core"
@@ -258,6 +259,14 @@ func Decode(data []byte) (*Image, error) {
 	if nd > MaxDeltas {
 		return nil, fmt.Errorf("migrate: %d deltas exceeds %d", nd, MaxDeltas)
 	}
+	// Size the deltas once, but only for as many as the bytes left can
+	// hold: a claimed count is no reason to allocate.
+	if len(r.b) < int(nd)*(4+mem.PageSize) {
+		return nil, errTruncated
+	}
+	if nd > 0 {
+		im.Deltas = make([]core.PageDelta, nd)
+	}
 	var prevGPA uint32
 	for i := uint32(0); i < nd; i++ {
 		gpa, err := r.u32()
@@ -275,7 +284,7 @@ func Decode(data []byte) (*Image, error) {
 		if err != nil {
 			return nil, err
 		}
-		im.Deltas = append(im.Deltas, core.PageDelta{GPA: gpa, Data: page})
+		im.Deltas[i] = core.PageDelta{GPA: gpa, Data: page}
 	}
 
 	nden, err := r.u32()
@@ -323,9 +332,11 @@ func appendStr(b []byte, s string) []byte {
 
 type imageReader struct{ b []byte }
 
+var errTruncated = errors.New("migrate: truncated image")
+
 func (r *imageReader) bytes(n int) ([]byte, error) {
 	if len(r.b) < n {
-		return nil, fmt.Errorf("migrate: truncated image")
+		return nil, errTruncated
 	}
 	out := r.b[:n:n]
 	r.b = r.b[n:]

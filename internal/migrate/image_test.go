@@ -3,7 +3,9 @@ package migrate_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"strings"
 	"testing"
 
 	"facechange/internal/core"
@@ -170,6 +172,32 @@ func TestImageRejectsInvalid(t *testing.T) {
 	// spare bit in the first one.
 	flagOff := 5 + (2 + len("apache")) + (2 + len("node-0")) + sha256.Size + 8 + 8 + 2
 	decodeFails("spare vCPU flag bit", func(b []byte) []byte { b[flagOff] |= 4; return b })
+}
+
+// TestImageRejectsOverclaimedDeltas: an image whose delta count claims
+// more deltas than its remaining bytes could hold is refused as truncated
+// before the deltas are sized, whether it claims one delta too many or
+// MaxDeltas.
+func TestImageRejectsOverclaimedDeltas(t *testing.T) {
+	valid, err := fullImage().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The delta count follows the vCPU flag bytes and the length-prefixed
+	// recovered set.
+	recOff := 5 + (2 + len("apache")) + (2 + len("node-0")) + sha256.Size + 8 + 8 + 2 + 3
+	ndOff := recOff + 4 + int(binary.BigEndian.Uint32(valid[recOff:]))
+	if nd := binary.BigEndian.Uint32(valid[ndOff:]); nd != 2 {
+		t.Fatalf("delta count at offset %d reads %d, want the fixture's 2", ndOff, nd)
+	}
+	for _, nd := range []uint32{3, migrate.MaxDeltas} {
+		b := append([]byte(nil), valid...)
+		binary.BigEndian.PutUint32(b[ndOff:], nd)
+		_, err := migrate.Decode(b)
+		if err == nil || !strings.Contains(err.Error(), "truncated image") {
+			t.Errorf("%d deltas claimed, 2 present: decode error %v, want truncated image", nd, err)
+		}
+	}
 }
 
 // FuzzImageCodec: arbitrary bytes never panic Decode, and anything it
