@@ -13,18 +13,20 @@ import (
 // allocRig fabricates scheduler state exactly as a guest context switch
 // would leave it, so OnAddrTrap can be driven in a tight loop.
 type allocRig struct {
-	k    *kernel.Kernel
-	rt   *Runtime
-	ctx  uint32
-	task [2]uint32 // GVAs of two prewritten task structs (appA, appB)
+	k   *kernel.Kernel
+	rt  *Runtime
+	ctx uint32
 }
+
+// allocApps are the rig's two profiled apps, one single-function view each.
+var allocApps = [2]string{"appA", "appB"}
 
 func newAllocRig(t *testing.T, opts Options) *allocRig {
 	t.Helper()
 	opts.SwitchAtResume = false // commit at the context-switch trap
 	k, rt := runtimeMachine(t, nil, opts)
 	rig := &allocRig{k: k, rt: rt, ctx: k.Syms.MustAddr("context_switch")}
-	for i, app := range []string{"appA", "appB"} {
+	for i, app := range allocApps {
 		fn := []string{"sys_getpid", "sys_read"}[i]
 		f, ok := k.Syms.ByName(fn)
 		if !ok {
@@ -35,27 +37,15 @@ func newAllocRig(t *testing.T, opts Options) *allocRig {
 		if _, err := rt.LoadView(cfg); err != nil {
 			t.Fatalf("LoadView: %v", err)
 		}
-		slot := 40 + i
-		taskGVA := kernel.VMITaskBase + uint32(slot)*kernel.VMITaskStride
-		base := taskGVA - mem.KernelBase
-		if err := k.Host.WriteU32(base+kernel.VMITaskPIDOff, uint32(100+i)); err != nil {
-			t.Fatal(err)
-		}
-		comm := make([]byte, kernel.VMICommLen)
-		copy(comm, app)
-		if err := k.Host.Write(base+kernel.VMITaskCommOff, comm); err != nil {
-			t.Fatal(err)
-		}
-		rig.task[i] = taskGVA
 	}
 	return rig
 }
 
-// pick points rq->curr at the prewritten task i and fires the
-// context-switch trap on vCPU 0.
+// pick fabricates a scheduler pick of app i on vCPU 0 and fires the
+// context-switch trap; callers measure both, so the pins cover the
+// fabricator too.
 func (rig *allocRig) pick(i int) error {
-	ptr := kernel.VMIRQCurrBase - mem.KernelBase
-	if err := rig.k.Host.WriteU32(ptr, rig.task[i]); err != nil {
+	if err := rig.k.PickTask(0, 100+i, allocApps[i]); err != nil {
 		return err
 	}
 	cpu := rig.k.M.CPUs[0]

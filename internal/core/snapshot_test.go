@@ -286,7 +286,10 @@ func TestConcurrentSwitchDuringCOWRecovery(t *testing.T) {
 			cpu := rig.k.M.CPUs[cpuID]
 			for j := 0; j < 64; j++ {
 				comm := comms[(j+cpuID)%len(comms)]
-				rig.setRQCurr(t, cpuID, 200+cpuID, comm)
+				if err := rig.k.PickTask(cpuID, 200+cpuID, comm); err != nil {
+					errCh <- err
+					return
+				}
 				cpu.EIP = rig.rt.ctxSwitchAddr
 				if err := rig.rt.OnAddrTrap(rig.k.M, cpu); err != nil {
 					errCh <- fmt.Errorf("cpu%d switch %d: %w", cpuID, j, err)

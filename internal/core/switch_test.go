@@ -11,8 +11,8 @@ import (
 )
 
 // switchRig is a runtime-phase machine with two single-function views
-// loaded, plus direct control over the VMI rq->curr structures so tests
-// can stage arbitrary context-switch sequences without running guest code.
+// loaded; kernel.PickTask fabricates its scheduler picks, so tests can
+// stage arbitrary context-switch sequences without running guest code.
 // Benchmarks share it (testing.TB); mods names guest modules to load
 // before the views so every view also shadows scattered module pages.
 type switchRig struct {
@@ -53,27 +53,6 @@ func newSwitchRig(t testing.TB, ncpu int, opts Options, mods ...string) *switchR
 	return rig
 }
 
-// setRQCurr fabricates the scheduler-pick VMI state: a task struct in a
-// high slot with the given pid/comm, pointed to by cpu's rq->curr.
-func (rig *switchRig) setRQCurr(t testing.TB, cpuID, pid int, comm string) {
-	t.Helper()
-	slot := 40 + cpuID
-	taskGVA := kernel.VMITaskBase + uint32(slot)*kernel.VMITaskStride
-	base := taskGVA - mem.KernelBase
-	if err := rig.k.Host.WriteU32(base+kernel.VMITaskPIDOff, uint32(pid)); err != nil {
-		t.Fatal(err)
-	}
-	commBuf := make([]byte, kernel.VMICommLen)
-	copy(commBuf, comm)
-	if err := rig.k.Host.Write(base+kernel.VMITaskCommOff, commBuf); err != nil {
-		t.Fatal(err)
-	}
-	ptr := kernel.VMIRQCurrBase - mem.KernelBase + uint32(cpuID)*4
-	if err := rig.k.Host.WriteU32(ptr, taskGVA); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // trap drives one OnAddrTrap exit on a vCPU: a context-switch trap with
 // the next task's comm, or a resume-userspace trap.
 func (rig *switchRig) trap(t testing.TB, cpuID int, at, comm string) {
@@ -81,7 +60,9 @@ func (rig *switchRig) trap(t testing.TB, cpuID int, at, comm string) {
 	cpu := rig.k.M.CPUs[cpuID]
 	switch at {
 	case "ctx":
-		rig.setRQCurr(t, cpuID, 100+cpuID, comm)
+		if err := rig.k.PickTask(cpuID, 100+cpuID, comm); err != nil {
+			t.Fatal(err)
+		}
 		cpu.EIP = rig.rt.ctxSwitchAddr
 	case "resume":
 		cpu.EIP = rig.rt.resumeAddr

@@ -104,19 +104,7 @@ func newBaselineRig(ncpu int, opts core.Options, mods ...string) (*baselineRig, 
 // ctxSwitch fabricates a scheduler pick of a task named comm on a vCPU and
 // fires the context-switch trap.
 func (rig *baselineRig) ctxSwitch(cpuID int, comm string) error {
-	slot := 40 + cpuID
-	taskGVA := kernel.VMITaskBase + uint32(slot)*kernel.VMITaskStride
-	base := taskGVA - mem.KernelBase
-	if err := rig.k.Host.WriteU32(base+kernel.VMITaskPIDOff, uint32(100+cpuID)); err != nil {
-		return err
-	}
-	commBuf := make([]byte, kernel.VMICommLen)
-	copy(commBuf, comm)
-	if err := rig.k.Host.Write(base+kernel.VMITaskCommOff, commBuf); err != nil {
-		return err
-	}
-	ptr := kernel.VMIRQCurrBase - mem.KernelBase + uint32(cpuID)*4
-	if err := rig.k.Host.WriteU32(ptr, taskGVA); err != nil {
+	if err := rig.k.PickTask(cpuID, 100+cpuID, comm); err != nil {
 		return err
 	}
 	cpu := rig.k.M.CPUs[cpuID]

@@ -43,35 +43,93 @@ const (
 
 func gpaOf(gva uint32) uint32 { return gva - mem.KernelBase }
 
+// vmiTaskGVA is the guest address of the task struct in slot.
+func vmiTaskGVA(slot int) uint32 { return VMITaskBase + uint32(slot)*VMITaskStride }
+
+// vmiPerCPU is the guest physical address of cpuID's pointer in a per-CPU
+// pointer array at gva.
+func vmiPerCPU(gva uint32, cpuID int) uint32 { return gpaOf(gva) + uint32(cpuID)*4 }
+
 func (k *Kernel) writeVMICurrent(cpuID int, t *Task) {
-	addr := gpaOf(VMICurrentBase) + uint32(cpuID)*4
-	taskGVA := VMITaskBase + uint32(t.Slot)*VMITaskStride
-	if err := k.Host.WriteU32(addr, taskGVA); err != nil {
+	if err := k.Host.WriteU32(vmiPerCPU(VMICurrentBase, cpuID), vmiTaskGVA(t.Slot)); err != nil {
 		panic(fmt.Sprintf("kernel: vmi current: %v", err))
 	}
 }
 
 func (k *Kernel) writeVMIRQCurr(cpuID int, t *Task) {
-	addr := gpaOf(VMIRQCurrBase) + uint32(cpuID)*4
-	taskGVA := VMITaskBase + uint32(t.Slot)*VMITaskStride
-	if err := k.Host.WriteU32(addr, taskGVA); err != nil {
+	if err := k.Host.WriteU32(vmiPerCPU(VMIRQCurrBase, cpuID), vmiTaskGVA(t.Slot)); err != nil {
 		panic(fmt.Sprintf("kernel: vmi rq curr: %v", err))
 	}
 }
 
 func (k *Kernel) writeVMITask(t *Task) {
-	base := gpaOf(VMITaskBase) + uint32(t.Slot)*VMITaskStride
-	if err := k.Host.WriteU32(base+VMITaskPIDOff, uint32(t.PID)); err != nil {
+	if err := k.writeTaskIdent(t.Slot, t.PID, t.Name); err != nil {
 		panic(fmt.Sprintf("kernel: vmi task: %v", err))
 	}
-	if err := k.Host.WriteU32(base+VMITaskStateOff, uint32(t.State)); err != nil {
+	if err := k.Host.WriteU32(gpaOf(vmiTaskGVA(t.Slot))+VMITaskStateOff, uint32(t.State)); err != nil {
 		panic(fmt.Sprintf("kernel: vmi task: %v", err))
 	}
-	comm := make([]byte, VMICommLen)
-	copy(comm, t.Name)
-	if err := k.Host.Write(base+VMITaskCommOff, comm); err != nil {
-		panic(fmt.Sprintf("kernel: vmi task: %v", err))
+}
+
+// writeTaskIdent writes the pid and the comm, zero-padded (and cut) to
+// VMICommLen, of the task struct in slot.
+func (k *Kernel) writeTaskIdent(slot, pid int, comm string) error {
+	base := gpaOf(vmiTaskGVA(slot))
+	if err := k.Host.WriteU32(base+VMITaskPIDOff, uint32(pid)); err != nil {
+		return err
 	}
+	var buf [VMICommLen]byte
+	copy(buf[:], comm)
+	return k.Host.Write(base+VMITaskCommOff, buf[:])
+}
+
+// Guest driver: the scheduler-pick and UD2 stack state a live guest
+// presents at FACE-CHANGE's two traps, fabricated so a harness can fire
+// those traps without running guest code. Both write only into slots
+// above any the kernel hands out, which holds while the driving machine
+// runs no guest tasks beyond its idle tasks: the kernel then never
+// assigns task slot 40 or higher (maxTasks is far larger, so a machine
+// that does run tasks could collide). Neither allocates nor charges
+// cycles; firing the trap and charging the VM exit stay with the caller.
+
+// PickTask fabricates a scheduler pick on cpuID: it writes pid and comm
+// (zero-padded, cut to VMICommLen) into task slot 40+cpuID and points
+// the CPU's rq->curr at it, the VMI state the context-switch trap reads.
+func (k *Kernel) PickTask(cpuID, pid int, comm string) error {
+	slot := 40 + cpuID
+	if err := k.writeTaskIdent(slot, pid, comm); err != nil {
+		return err
+	}
+	return k.Host.WriteU32(vmiPerCPU(VMIRQCurrBase, cpuID), vmiTaskGVA(slot))
+}
+
+// PlantFrames writes an EBP frame chain returning through rets, innermost
+// first, on kernel stack slot 48+cpuID, and returns the EBP a UD2 exit
+// should carry. Each frame holds the next frame's address and its return
+// site; frames sit 0x40 apart from the stack base +0x100, and the last
+// frame's next pointer is the 0 terminator. With no rets the chain is a
+// lone terminator; the return-site word after it keeps whatever an
+// earlier chain left there.
+func (k *Kernel) PlantFrames(cpuID int, rets []uint32) (ebp uint32, err error) {
+	ebp = mem.KernelStackGVA + uint32(48+cpuID)*mem.KernelStackSize + 0x100
+	if len(rets) == 0 {
+		return ebp, k.Host.WriteU32(gpaOf(ebp), 0)
+	}
+	frame := ebp
+	for i, ret := range rets {
+		next := frame + 0x40
+		if i == len(rets)-1 {
+			next = 0
+		}
+		if err := k.Host.WriteU32(gpaOf(frame), next); err != nil {
+			return 0, err
+		}
+		if err := k.Host.WriteU32(gpaOf(frame)+4, ret); err != nil {
+			return 0, err
+		}
+		frame = next
+	}
+	return ebp, nil
 }
 
 // writeVMIModules rewrites the guest-visible module list (hidden modules

@@ -1,8 +1,10 @@
 package load
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"sort"
 	"strconv"
@@ -206,7 +208,15 @@ func assemble(cfg *RunConfig, specs []*appSpec, results []*runtimeResult, fleet 
 	return rep
 }
 
-func foldSummary(h *fnv1a, s stats.Summary) {
+// digestBuf collects the little-endian bytes the report digest hashes;
+// strings are NUL-terminated.
+type digestBuf []byte
+
+func (b *digestBuf) byte(v byte)  { *b = append(*b, v) }
+func (b *digestBuf) u64(v uint64) { *b = binary.LittleEndian.AppendUint64(*b, v) }
+func (b *digestBuf) str(s string) { *b = append(append(*b, s...), 0) }
+
+func foldSummary(h *digestBuf, s stats.Summary) {
 	h.u64(s.Count)
 	h.u64(s.Min)
 	h.u64(s.Max)
@@ -223,7 +233,7 @@ func foldSummary(h *fnv1a, s stats.Summary) {
 // the SLO verdicts are excluded — they may vary across hosts without the
 // benchmark result itself changing.
 func (r *Report) digest() uint64 {
-	h := newFNV()
+	var h digestBuf
 	h.str(r.TraceDigest)
 	h.u64(uint64(r.Config.Seed))
 	h.byte(byte(r.Config.Apps))
@@ -281,7 +291,9 @@ func (r *Report) digest() uint64 {
 		h.u64(r.Fleet.DeltasApplied)
 		h.u64(r.Fleet.DeltasSkipped)
 	}
-	return uint64(h)
+	f := fnv.New64a()
+	f.Write(h)
+	return f.Sum64()
 }
 
 func (r *Report) digestString() string { return fmt.Sprintf("%016x", r.digest()) }

@@ -301,19 +301,7 @@ func (g *rig) addApp(spec *appSpec, viewIdx int) {
 // ctxSwitch fabricates a scheduler pick (task struct + rq->curr, exactly
 // the VMI state a live guest presents) and fires the context-switch trap.
 func (g *rig) ctxSwitch(cpuID int, pid int, comm string) error {
-	slot := 40 + cpuID
-	taskGVA := kernel.VMITaskBase + uint32(slot)*kernel.VMITaskStride
-	base := taskGVA - mem.KernelBase
-	if err := g.k.Host.WriteU32(base+kernel.VMITaskPIDOff, uint32(pid)); err != nil {
-		return err
-	}
-	var commBuf [kernel.VMICommLen]byte
-	copy(commBuf[:], comm)
-	if err := g.k.Host.Write(base+kernel.VMITaskCommOff, commBuf[:]); err != nil {
-		return err
-	}
-	ptr := kernel.VMIRQCurrBase - mem.KernelBase + uint32(cpuID)*4
-	if err := g.k.Host.WriteU32(ptr, taskGVA); err != nil {
+	if err := g.k.PickTask(cpuID, pid, comm); err != nil {
 		return err
 	}
 	cpu := g.k.M.CPUs[cpuID]
@@ -367,33 +355,19 @@ func (g *rig) ensureActive(cpuID int, st *appState) error {
 // ud2At fabricates a kernel stack whose frames return into the app's own
 // loaded code and fires the invalid-opcode exit at fn's entry.
 func (g *rig) ud2At(cpuID int, st *appState, fn *kernel.Func, arg uint16) (bool, error) {
-	cpu := g.k.M.CPUs[cpuID]
-	stackGVA := mem.KernelStackGVA + uint32(48+cpuID)*mem.KernelStackSize
-	ebp := stackGVA + 0x100
+	var rets [3]uint32
 	nframes := int(arg>>8) % 4
-	frame := ebp
-	for i := 0; i < nframes; i++ {
+	for i := range rets[:nframes] {
 		caller := st.included[(int(arg)*7+i*13)%len(st.included)]
 		// Even offsets only: odd return sites over real code could read
 		// "0B 0F" and instant-recover spans this replay does not track.
-		ret := caller.Addr + (uint32(arg)%caller.Size)&^1
-		next := frame + 0x40
-		if i == nframes-1 {
-			next = 0
-		}
-		if err := g.k.Host.WriteU32(frame-mem.KernelBase, next); err != nil {
-			return false, err
-		}
-		if err := g.k.Host.WriteU32(frame+4-mem.KernelBase, ret); err != nil {
-			return false, err
-		}
-		frame = next
+		rets[i] = caller.Addr + (uint32(arg)%caller.Size)&^1
 	}
-	if nframes == 0 {
-		if err := g.k.Host.WriteU32(ebp-mem.KernelBase, 0); err != nil {
-			return false, err
-		}
+	ebp, err := g.k.PlantFrames(cpuID, rets[:nframes])
+	if err != nil {
+		return false, err
 	}
+	cpu := g.k.M.CPUs[cpuID]
 	cpu.EBP = ebp
 	cpu.EIP = fn.Addr
 	g.k.M.Charge(g.k.M.Cost.VMExit)

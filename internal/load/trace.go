@@ -17,7 +17,9 @@
 package load
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"sort"
@@ -267,51 +269,21 @@ func GenTrace(cfg TraceConfig) (*Trace, error) {
 	return tr, nil
 }
 
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-// fnv1a folds bytes into an FNV-1a hash (the same construction as the
-// simulator's trace digest).
-type fnv1a uint64
-
-func newFNV() fnv1a { return fnvOffset }
-
-func (h *fnv1a) byte(b byte) {
-	*h = (*h ^ fnv1a(b)) * fnvPrime
-}
-
-func (h *fnv1a) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		h.byte(byte(v >> (8 * i)))
-	}
-}
-
-func (h *fnv1a) str(s string) {
-	for i := 0; i < len(s); i++ {
-		h.byte(s[i])
-	}
-	h.byte(0)
-}
-
-// Digest returns the deterministic trace digest: an FNV-1a fold of every
+// Digest returns the deterministic trace digest: FNV-1a over every
 // event's byte encoding. Two traces with equal digests are byte-identical
 // with overwhelming probability; CI compares digests across runs to pin
 // generation determinism.
 func (t *Trace) Digest() uint64 {
-	h := newFNV()
-	h.byte(byte(t.Cfg.Apps))
-	h.byte(byte(t.Cfg.CPUs))
+	h := fnv.New64a()
+	h.Write([]byte{byte(t.Cfg.Apps), byte(t.Cfg.CPUs)})
+	var rec [13]byte
 	for _, ev := range t.Events {
-		h.byte(byte(ev.Op))
-		h.byte(ev.App)
-		h.byte(ev.CPU)
-		h.byte(byte(ev.Arg))
-		h.byte(byte(ev.Arg >> 8))
-		h.u64(ev.At)
+		rec[0], rec[1], rec[2] = byte(ev.Op), ev.App, ev.CPU
+		binary.LittleEndian.PutUint16(rec[3:], ev.Arg)
+		binary.LittleEndian.PutUint64(rec[5:], ev.At)
+		h.Write(rec[:])
 	}
-	return uint64(h)
+	return h.Sum64()
 }
 
 // DigestString renders the digest the way reports and CI logs carry it.

@@ -9,7 +9,6 @@ import (
 	"facechange/internal/core"
 	"facechange/internal/kernel"
 	"facechange/internal/kview"
-	"facechange/internal/mem"
 )
 
 // Kind enumerates the simulated guest/administrator events.
@@ -231,33 +230,13 @@ func (s *Simulator) applyCtxSwitch(cpuID int, ev Event) error {
 	}
 	pid := 100 + int(ev.B)%900
 
-	slot := taskSlotBase + cpuID
-	taskGVA := kernel.VMITaskBase + uint32(slot)*kernel.VMITaskStride
-	base := taskGVA - mem.KernelBase
-	if err := s.k.Host.WriteU32(base+kernel.VMITaskPIDOff, uint32(pid)); err != nil {
-		return err
-	}
-	commBuf := make([]byte, kernel.VMICommLen)
-	copy(commBuf, comm)
-	if err := s.k.Host.Write(base+kernel.VMITaskCommOff, commBuf); err != nil {
-		return err
-	}
-	ptr := kernel.VMIRQCurrBase - mem.KernelBase + uint32(cpuID)*4
-	if err := s.k.Host.WriteU32(ptr, taskGVA); err != nil {
+	if err := s.k.PickTask(cpuID, pid, comm); err != nil {
 		return err
 	}
 	cpu := s.k.M.CPUs[cpuID]
 	cpu.EIP = s.ctxAddr
 	return s.rt.OnAddrTrap(s.k.M, cpu)
 }
-
-const (
-	// taskSlotBase indexes the fabricated task structs, clear of slots the
-	// kernel assigns to real tasks.
-	taskSlotBase = 40
-	// stackSlotBase indexes the fabricated kernel stacks.
-	stackSlotBase = 48
-)
 
 // applyUD2 fires a storm of invalid-opcode exits at addresses inside the
 // base kernel text, each with a fabricated EBP frame chain whose return
@@ -279,40 +258,25 @@ func (s *Simulator) applyUD2(cpuID int, ev Event) error {
 		fn := s.textFuncs[(int(ev.B)+rep*31)%len(s.textFuncs)]
 		eip := fn.Addr + uint32(s.rng.Intn(int(fn.Size)))
 
-		stackGVA := mem.KernelStackGVA + uint32(stackSlotBase+cpuID)*mem.KernelStackSize
-		ebp := stackGVA + 0x100
+		var rets [3]uint32
 		nframes := (int(ev.A>>8) + rep) % 4
-		frame := ebp
-		for i := 0; i < nframes; i++ {
-			var ret uint32
+		for i := range rets[:nframes] {
 			if len(hidden) > 0 && s.rng.Intn(4) == 0 {
 				m := hidden[s.rng.Intn(len(hidden))]
 				// Even offset: hidden code is never instant-recovered (it
 				// has no admitted region), only witnessed in the backtrace.
-				ret = m.Base + uint32(s.rng.Intn(int(m.Size)))&^1
+				rets[i] = m.Base + uint32(s.rng.Intn(int(m.Size)))&^1
 			} else {
 				callerFn := s.textFuncs[s.rng.Intn(len(s.textFuncs))]
-				ret = callerFn.Addr + 1 + uint32(s.rng.Intn(int(callerFn.Size)-1))
+				rets[i] = callerFn.Addr + 1 + uint32(s.rng.Intn(int(callerFn.Size)-1))
 				if s.rng.Intn(2) == 0 {
-					ret |= 1 // odd return site: the "0B 0F" misparse shape
+					rets[i] |= 1 // odd return site: the "0B 0F" misparse shape
 				}
 			}
-			next := frame + 0x40
-			if i == nframes-1 {
-				next = 0 // chain terminator
-			}
-			if err := s.k.Host.WriteU32(frame-mem.KernelBase, next); err != nil {
-				return err
-			}
-			if err := s.k.Host.WriteU32(frame+4-mem.KernelBase, ret); err != nil {
-				return err
-			}
-			frame = next
 		}
-		if nframes == 0 {
-			if err := s.k.Host.WriteU32(ebp-mem.KernelBase, 0); err != nil {
-				return err
-			}
+		ebp, err := s.k.PlantFrames(cpuID, rets[:nframes])
+		if err != nil {
+			return err
 		}
 		cpu.EBP = ebp
 		cpu.EIP = eip

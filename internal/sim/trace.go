@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"strings"
 )
 
@@ -36,41 +39,26 @@ func (v *Violation) Error() string {
 // produce the same digest — the determinism contract a failing seed's
 // replay depends on.
 type digest struct {
-	h uint64
+	h   hash.Hash64
+	buf []byte // one event's record, reused
 }
 
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
+func newDigest() *digest { return &digest{h: fnv.New64a()} }
 
-func newDigest() *digest { return &digest{h: fnvOffset} }
-
-func (d *digest) byte(b byte) {
-	d.h ^= uint64(b)
-	d.h *= fnvPrime
-}
-
-func (d *digest) u32(v uint32) {
-	d.byte(byte(v))
-	d.byte(byte(v >> 8))
-	d.byte(byte(v >> 16))
-	d.byte(byte(v >> 24))
-}
-
-// event folds one applied event and the state fingerprint it produced.
+// event folds one applied event and the state fingerprint it produced,
+// little-endian.
 func (d *digest) event(ev Event, errByte byte, actives []int, recoveries, switches uint64, liveViews int) {
-	d.byte(byte(ev.Kind))
-	d.byte(ev.CPU)
-	d.u32(uint32(ev.A))
-	d.u32(uint32(ev.B))
-	d.byte(errByte)
+	b := append(d.buf[:0], byte(ev.Kind), ev.CPU)
+	b = binary.LittleEndian.AppendUint32(b, uint32(ev.A))
+	b = binary.LittleEndian.AppendUint32(b, uint32(ev.B))
+	b = append(b, errByte)
 	for _, a := range actives {
-		d.u32(uint32(a))
+		b = binary.LittleEndian.AppendUint32(b, uint32(a))
 	}
-	d.u32(uint32(recoveries))
-	d.u32(uint32(switches))
-	d.byte(byte(liveViews))
+	b = binary.LittleEndian.AppendUint32(b, uint32(recoveries))
+	b = binary.LittleEndian.AppendUint32(b, uint32(switches))
+	d.buf = append(b, byte(liveViews))
+	d.h.Write(d.buf)
 }
 
-func (d *digest) sum() uint64 { return d.h }
+func (d *digest) sum() uint64 { return d.h.Sum64() }
