@@ -6,6 +6,7 @@ import (
 
 	"facechange"
 	"facechange/internal/apps"
+	"facechange/internal/core"
 	"facechange/internal/kview"
 )
 
@@ -58,26 +59,26 @@ func TestGoldenViewConfigRoundTrip(t *testing.T) {
 	if v1.LoadedBytes != v2.LoadedBytes {
 		t.Errorf("LoadedBytes: original %d, re-imported %d", v1.LoadedBytes, v2.LoadedBytes)
 	}
-	compare := func(kind string, a, b map[uint32]uint32) {
-		if len(a) != len(b) {
-			t.Errorf("%s page count: original %d, re-imported %d", kind, len(a), len(b))
-			return
-		}
-		for gpa, hpa := range a {
-			other, ok := b[gpa]
-			if !ok {
-				t.Errorf("%s page %#x missing from re-imported view", kind, gpa)
-			} else if other != hpa {
-				t.Errorf("%s page %#x differs in content: HPA %#x vs %#x", kind, gpa, hpa, other)
-			}
+	pagesOf := func(v *core.LoadedView) (out [][2]uint32) {
+		v.Pages(func(gpa, hpa uint32) bool {
+			out = append(out, [2]uint32{gpa, hpa})
+			return true
+		})
+		return out
+	}
+	p1, p2 := pagesOf(v1), pagesOf(v2)
+	if len(p1) != len(p2) {
+		t.Fatalf("page count: original %d, re-imported %d", len(p1), len(p2))
+	}
+	for i := range p1 {
+		if p1[i] != p2[i] {
+			t.Errorf("page %#x → HPA %#x in the original, page %#x → HPA %#x re-imported", p1[i][0], p1[i][1], p2[i][0], p2[i][1])
 		}
 	}
-	compare("text", v1.TextPageMap(), v2.TextPageMap())
-	compare("module", v1.ModPageMap(), v2.ModPageMap())
 
 	// Full dedup: loading the re-imported twin added no distinct pages.
 	st := vm.Runtime.CacheStats()
-	pages := uint64(len(v2.TextPageMap()) + len(v2.ModPageMap()))
+	pages := uint64(len(p2))
 	if st.DedupedPages < pages {
 		t.Errorf("DedupedPages = %d, want ≥ %d (the whole re-imported view)", st.DedupedPages, pages)
 	}

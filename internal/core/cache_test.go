@@ -37,23 +37,53 @@ func loadTwice(t *testing.T, opts Options) (*kernel.Kernel, *Runtime, *LoadedVie
 	return k, rt, mk("first"), mk("second")
 }
 
+// pagesOf collects a view's shadow pages (GPA page → HPA).
+func pagesOf(v *LoadedView) map[uint32]uint32 {
+	out := make(map[uint32]uint32)
+	v.Pages(func(gpa, hpa uint32) bool {
+		out[gpa] = hpa
+		return true
+	})
+	return out
+}
+
+// pageGPAs lists a view's shadowed GPA pages in ascending order.
+func pageGPAs(v *LoadedView) (out []uint32) {
+	v.Pages(func(gpa, _ uint32) bool {
+		out = append(out, gpa)
+		return true
+	})
+	return out
+}
+
+// shadowHPA returns the shadow page backing gpaPage in v.
+func shadowHPA(t testing.TB, v *LoadedView, gpaPage uint32) uint32 {
+	t.Helper()
+	hpa, ok := v.pageFor(gpaPage)
+	if !ok {
+		t.Fatalf("view %q shadows no page %#x", v.Name, gpaPage)
+	}
+	return hpa
+}
+
 // TestLoadViewSharesIdenticalPages: two views with identical content must
 // map every shadow page to the same host page — one UD2 page and one copy
 // of each loaded page, not a full per-view copy.
 func TestLoadViewSharesIdenticalPages(t *testing.T) {
 	_, rt, v1, v2 := loadTwice(t, DefaultOptions())
-	if len(v1.textPages) == 0 || len(v1.textPages) != len(v2.textPages) {
-		t.Fatalf("page counts differ: %d vs %d", len(v1.textPages), len(v2.textPages))
+	p1, p2 := pagesOf(v1), pagesOf(v2)
+	if len(p1) == 0 || len(p1) != len(p2) {
+		t.Fatalf("page counts differ: %d vs %d", len(p1), len(p2))
 	}
-	for gpa, hpa := range v1.textPages {
-		if v2.textPages[gpa] != hpa {
-			t.Fatalf("page %#x not shared: %#x vs %#x", gpa, hpa, v2.textPages[gpa])
+	for gpa, hpa := range p1 {
+		if p2[gpa] != hpa {
+			t.Fatalf("page %#x not shared: %#x vs %#x", gpa, hpa, p2[gpa])
 		}
 	}
 	st := rt.CacheStats()
 	// The second view contributed zero new pages.
-	if st.DedupedPages < uint64(len(v2.textPages)) {
-		t.Errorf("DedupedPages = %d, want ≥ %d (the whole second view)", st.DedupedPages, len(v2.textPages))
+	if st.DedupedPages < uint64(len(p2)) {
+		t.Errorf("DedupedPages = %d, want ≥ %d (the whole second view)", st.DedupedPages, len(p2))
 	}
 	// And even the first view collapses to very few distinct pages: UD2
 	// filler plus the loaded function's page(s).
@@ -71,8 +101,8 @@ func TestRecoveryCopyOnWriteIsolatesViews(t *testing.T) {
 	k, rt, v1, v2 := loadTwice(t, DefaultOptions())
 	f, _ := k.Syms.ByName("sys_read")
 	gpaPage := mem.PageAlignDown(f.Addr - mem.KernelBase)
-	sharedHPA := v1.textPages[gpaPage]
-	if v2.textPages[gpaPage] != sharedHPA {
+	sharedHPA := shadowHPA(t, v1, gpaPage)
+	if shadowHPA(t, v2, gpaPage) != sharedHPA {
 		t.Fatal("precondition: page not shared")
 	}
 
@@ -81,25 +111,25 @@ func TestRecoveryCopyOnWriteIsolatesViews(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if v1.textPages[gpaPage] == sharedHPA {
+	if shadowHPA(t, v1, gpaPage) == sharedHPA {
 		t.Error("written page still shared (no copy-on-write)")
 	}
 	if v1.shared[gpaPage] {
 		t.Error("written page still marked shared")
 	}
-	if v2.textPages[gpaPage] != sharedHPA {
+	if shadowHPA(t, v2, gpaPage) != sharedHPA {
 		t.Error("untouched view lost its shared page")
 	}
 	// View 2's page must still be pristine UD2 at sys_read.
 	buf := make([]byte, 8)
-	if err := rt.m.Host.Read(v2.textPages[gpaPage]+(f.Addr-mem.KernelBase-gpaPage), buf); err != nil {
+	if err := rt.m.Host.Read(shadowHPA(t, v2, gpaPage)+(f.Addr-mem.KernelBase-gpaPage), buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf[:2], []byte{ud2Page[0], ud2Page[1]}) {
 		t.Errorf("shared page mutated under view 2: % x", buf)
 	}
 	// View 1's private page holds the recovered code.
-	if err := rt.m.Host.Read(v1.textPages[gpaPage]+(f.Addr-mem.KernelBase-gpaPage), buf); err != nil {
+	if err := rt.m.Host.Read(shadowHPA(t, v1, gpaPage)+(f.Addr-mem.KernelBase-gpaPage), buf); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(buf[:2], []byte{ud2Page[0], ud2Page[1]}) {
@@ -109,40 +139,6 @@ func TestRecoveryCopyOnWriteIsolatesViews(t *testing.T) {
 	wantPages := (mem.PageAlignUp(f.Addr+f.Size) - mem.PageAlignDown(f.Addr)) / mem.PageSize
 	if st := rt.CacheStats(); st.Privatized != uint64(wantPages) {
 		t.Errorf("Privatized = %d, want %d", st.Privatized, wantPages)
-	}
-}
-
-// TestRecoveryRemapsLiveVCPU: when the written view is active on a vCPU,
-// the copy-on-write page must become visible through that vCPU's EPT at
-// once — in both base-kernel switch modes.
-func TestRecoveryRemapsLiveVCPU(t *testing.T) {
-	for _, mode := range []struct {
-		name       string
-		pdGranular bool
-	}{
-		{"pd-granular", true},
-		{"pte-granular", false},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			opts := DefaultOptions()
-			opts.PDGranularSwitch = mode.pdGranular
-			k, rt, v1, _ := loadTwice(t, opts)
-			cpu := k.M.CPUs[0]
-			rt.switchTo(cpu, 1) // v1
-
-			f, _ := k.Syms.ByName("sys_read")
-			if err := rt.copyPhys(rt.arenas[0], v1, f.Addr, f.Size); err != nil {
-				t.Fatal(err)
-			}
-			var got [2]byte
-			if err := cpu.Mem().Read(f.Addr, got[:]); err != nil {
-				t.Fatal(err)
-			}
-			if bytes.Equal(got[:], []byte{ud2Page[0], ud2Page[1]}) {
-				t.Error("vCPU still reads UD2 after recovery: live EPT not remapped")
-			}
-			rt.switchTo(cpu, FullView)
-		})
 	}
 }
 
@@ -163,7 +159,7 @@ func TestUnloadViewReleasesSharedPages(t *testing.T) {
 	v2 := rt.ViewByIndex(2)
 	buf := make([]byte, 2)
 	gpaPage := mem.PageAlignDown(f.Addr - mem.KernelBase)
-	if err := rt.m.Host.Read(v2.textPages[gpaPage]+(f.Addr-mem.KernelBase-gpaPage), buf); err != nil {
+	if err := rt.m.Host.Read(shadowHPA(t, v2, gpaPage)+(f.Addr-mem.KernelBase-gpaPage), buf); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(buf, []byte{ud2Page[0], ud2Page[1]}) {

@@ -133,8 +133,8 @@ type Runtime struct {
 	// mu serializes the mutating entry points (traps, hotplug, enable/
 	// disable, symbolization): on a multi-vCPU host, exits from different
 	// vCPUs reach the runtime concurrently, and all of them touch shared
-	// state — view tables, the page cache's view-side maps, shared
-	// snapshot roots, the recovery log. Read-only inspection helpers are
+	// state — view tables, the page cache's view-side maps, the views'
+	// EPT roots, the recovery log. Read-only inspection helpers are
 	// left unlocked and are only meaningful on a quiescent runtime.
 	mu sync.Mutex
 
@@ -154,9 +154,9 @@ type Runtime struct {
 	// readers hold mu). A per-trap make([]byte, ...) would otherwise be
 	// the context-switch path's only allocation.
 	commScratch [kernel.VMICommLen]byte
-	// pdBases caches textPDBases: the PD-slot base GPAs covering the
-	// kernel text never change after setup, and the legacy switch path
-	// walks them on every committed switch.
+	// pdBases are the PD-slot base GPAs covering the kernel text: they
+	// never change after setup, and the legacy switch path walks them on
+	// every committed switch.
 	pdBases []uint32
 
 	ctxSwitchAddr uint32

@@ -106,8 +106,7 @@ func TestImportPlacesDeltasPrivately(t *testing.T) {
 					delete(byGPA, gpa)
 				}
 			}
-			check(v.textPages)
-			check(v.modPages)
+			check(pagesOf(v))
 			if len(byGPA) != 0 {
 				t.Fatalf("%d deltas not placed in the view", len(byGPA))
 			}

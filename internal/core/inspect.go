@@ -10,10 +10,6 @@ import (
 	"facechange/internal/mem"
 )
 
-// NumViewSlots returns the size of the view table, including the full view
-// at index 0 and holes left by unloaded views.
-func (r *Runtime) NumViewSlots() int { return len(r.views) }
-
 // LoadedIndices returns the indices of all currently loaded views, in
 // ascending order.
 func (r *Runtime) LoadedIndices() []int {
@@ -79,31 +75,24 @@ func (r *Runtime) CheckSwitchState() error {
 }
 
 // CheckVCPUMappings verifies that a vCPU's EPT agrees with its active
-// view for the given sample of GPA pages: text and module pages must
-// translate to the active view's shadow pages, everything else (and every
-// page under the full view) must translate identity. This is the
-// freed-page tripwire: an EPT still pointing at a released shadow page
-// disagrees with the live view maps.
+// view for the given sample of GPA pages: every page must translate as
+// the active view's root does (shadow pages for text and module pages,
+// identity elsewhere), and every page under the full view identity. This
+// is the freed-page tripwire: an EPT still pointing at a released shadow
+// page disagrees with the live view.
 func (r *Runtime) CheckVCPUMappings(cpuID int, samples []uint32) error {
 	cpu := r.m.CPUs[cpuID]
 	v := r.ViewByIndex(r.cpus[cpuID].active)
 	if r.opts.SnapshotSwitch {
 		// Under snapshot switching, translations agreeing is not enough:
-		// the vCPU must reference exactly its active view's shared root
-		// (nil for the full view). A matching translation through the wrong
-		// root would still break the invalidation protocol.
+		// the vCPU must reference exactly its active view's root (nil for
+		// the full view), so a COW retarget of the root reaches it.
 		var want *mem.Root
 		if v != nil {
-			if v.snap == nil {
-				return fmt.Errorf("core: view %q loaded without a snapshot in snapshot-switch mode", v.Name)
-			}
-			want = v.snap.root
-			if want == nil {
-				return fmt.Errorf("core: cpu%d active view %q has an invalidated snapshot", cpuID, v.Name)
-			}
+			want = v.root
 		}
 		if got := cpu.EPT.Root(); got != want {
-			return fmt.Errorf("core: cpu%d EPT root %p does not match active view %d's snapshot root %p",
+			return fmt.Errorf("core: cpu%d EPT root %p does not match active view %d's root %p",
 				cpuID, got, r.cpus[cpuID].active, want)
 		}
 	}
@@ -111,11 +100,7 @@ func (r *Runtime) CheckVCPUMappings(cpuID int, samples []uint32) error {
 		page := mem.PageAlignDown(gpa)
 		want := page // identity
 		if v != nil {
-			if hpa, ok := v.textPages[page]; ok {
-				want = hpa
-			} else if hpa, ok := v.modPages[page]; ok {
-				want = hpa
-			}
+			want = v.root.Translate(page)
 		}
 		if got, _ := cpu.EPT.TranslatePage(page); got != want {
 			return fmt.Errorf("core: cpu%d EPT maps %#x → %#x, active view %d expects %#x",

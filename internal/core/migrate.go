@@ -15,7 +15,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"slices"
 
 	"facechange/internal/kview"
 	"facechange/internal/mem"
@@ -230,26 +229,22 @@ func (r *Runtime) ExportViewState(f *FrozenView) (*ViewState, error) {
 		st.Recovered = kview.UnionViews(v.recovered.App, v.recovered)
 		st.Recovered.App = v.recovered.App
 	}
-	collect := func(pages map[uint32]uint32) error {
-		for gpa, hpa := range pages {
-			if v.shared[gpa] {
-				continue // interned catalog content; never travels
-			}
-			data, err := r.m.Host.Slice(hpa, mem.PageSize)
-			if err != nil {
-				return fmt.Errorf("core: export delta %#x: %w", gpa, err)
-			}
-			st.Deltas = append(st.Deltas, PageDelta{GPA: gpa, Data: data})
+	var err error
+	v.Pages(func(gpa, hpa uint32) bool {
+		if v.shared[gpa] {
+			return true // interned catalog content; never travels
 		}
-		return nil
-	}
-	if err := collect(v.textPages); err != nil {
+		var data []byte
+		if data, err = r.m.Host.Slice(hpa, mem.PageSize); err != nil {
+			err = fmt.Errorf("core: export delta %#x: %w", gpa, err)
+			return false
+		}
+		st.Deltas = append(st.Deltas, PageDelta{GPA: gpa, Data: data})
+		return true
+	})
+	if err != nil {
 		return nil, err
 	}
-	if err := collect(v.modPages); err != nil {
-		return nil, err
-	}
-	slices.SortFunc(st.Deltas, func(a, b PageDelta) int { return cmp.Compare(a.GPA, b.GPA) })
 	return st, nil
 }
 

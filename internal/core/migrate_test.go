@@ -162,7 +162,7 @@ func TestExportImportMovesCOWAndRecovered(t *testing.T) {
 	v2 := rt2.ViewByIndex(res.Index)
 	gpaPage := mem.PageAlignDown(fn.Addr - mem.KernelBase)
 	buf := make([]byte, 2)
-	if err := rt2.m.Host.Read(v2.textPages[gpaPage]+(fn.Addr-mem.KernelBase-gpaPage), buf); err != nil {
+	if err := rt2.m.Host.Read(shadowHPA(t, v2, gpaPage)+(fn.Addr-mem.KernelBase-gpaPage), buf); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(buf, []byte{ud2Page[0], ud2Page[1]}) {
@@ -213,7 +213,7 @@ func TestImportSkipsUncoverableDeltas(t *testing.T) {
 	// Forge a delta far outside the view's pages (but page-aligned).
 	var far uint32
 	for far = 0; ; far += mem.PageSize {
-		if _, ok := v.textPages[far]; !ok {
+		if _, ok := v.pageFor(far); !ok {
 			break
 		}
 	}

@@ -71,8 +71,8 @@ func TestSnapshotSwitchSingleRootSwap(t *testing.T) {
 		t.Errorf("charged %d cycles for the switch, want exactly Cost.EPTPSwitch = %d", got, want)
 	}
 	vB := rig.rt.ViewByIndex(rig.idx["appB"])
-	if cpu.EPT.Root() != vB.snap.root {
-		t.Error("vCPU EPT root is not appB's shared snapshot root")
+	if cpu.EPT.Root() != vB.root {
+		t.Error("vCPU EPT root is not appB's root")
 	}
 
 	// Reverting to the full view is also a single root swap (to nil).
@@ -120,14 +120,8 @@ func TestSnapshotSwitchEPTAgreement(t *testing.T) {
 
 	for cpuID, app := range map[int]string{0: "appA", 1: "appB"} {
 		v := rig.rt.ViewByIndex(rig.idx[app])
-		var samples []uint32
-		for gpa := range v.TextPageMap() {
-			samples = append(samples, gpa)
-		}
-		for gpa := range v.ModPageMap() {
-			samples = append(samples, gpa)
-		}
-		if len(v.ModPageMap()) == 0 {
+		samples := pageGPAs(v)
+		if len(v.mods) == 0 {
 			t.Fatalf("%s shadows no module pages; rig should have loaded af_packet", app)
 		}
 		if err := rig.rt.CheckVCPUMappings(cpuID, samples); err != nil {
@@ -136,70 +130,69 @@ func TestSnapshotSwitchEPTAgreement(t *testing.T) {
 	}
 }
 
-// TestSnapshotCOWVisibleAcrossVCPUs: a recovery on one vCPU privatizes a
-// cache-shared text page and patches the shared snapshot, so every other
-// vCPU on the same view translates to the recovered page immediately.
-func TestSnapshotCOWVisibleAcrossVCPUs(t *testing.T) {
-	rig := newSwitchRig(t, 2, snapOpts())
-	rig.trap(t, 0, "ctx", "appA")
-	rig.trap(t, 1, "ctx", "appA")
-	v := rig.rt.ViewByIndex(rig.idx["appA"])
-	if gen := v.SnapshotGen(); gen != 0 {
-		t.Fatalf("fresh view snapshot gen = %d, want 0", gen)
+// TestRecoveryCOWRemapsEPT: a recovery on one vCPU privatizes a
+// cache-shared page, and every vCPU running the view translates to the
+// private page at once: through the view's root under snapshot switching,
+// through the root's PT objects for PD-granular text, and by rewritten
+// live PTEs otherwise. Each switch mode runs with a text and a module
+// page, the view active on two vCPUs.
+func TestRecoveryCOWRemapsEPT(t *testing.T) {
+	legacy := func(pdGranular bool) Options {
+		o := DefaultOptions()
+		o.SwitchAtResume = false
+		o.PDGranularSwitch = pdGranular
+		return o
 	}
+	modes := []struct {
+		name string
+		opts Options
+	}{
+		{"snapshot", snapOpts()},
+		{"pd-granular", legacy(true)},
+		{"pte-granular", legacy(false)},
+	}
+	for _, mode := range modes {
+		for _, kind := range []string{"text", "module"} {
+			t.Run(mode.name+"/"+kind, func(t *testing.T) {
+				rig := newSwitchRig(t, 2, mode.opts, "af_packet")
+				rig.trap(t, 0, "ctx", "appA")
+				rig.trap(t, 1, "ctx", "appA")
+				v := rig.rt.ViewByIndex(rig.idx["appA"])
 
-	// Trap an excluded function on cpu0: recovery COWs the text page.
-	fn := textFuncs(t, rig.k)[3]
-	cpu0 := rig.k.M.CPUs[0]
-	cpu0.EIP, cpu0.EBP = fn.Addr, 0
-	if handled, err := rig.rt.OnInvalidOpcode(rig.k.M, cpu0); err != nil || !handled {
-		t.Fatalf("OnInvalidOpcode: handled=%v err=%v", handled, err)
-	}
+				fn := textFuncs(t, rig.k)[3]
+				if kind == "module" {
+					fn = moduleFunc(t, rig.k, "af_packet")
+				}
+				page := mem.PageAlignDown(gpaFor(fn.Addr))
+				if !v.shared[page] {
+					t.Fatalf("precondition: page %#x is not cache-shared", page)
+				}
+				// Trap the excluded function on cpu0: recovery COWs the page.
+				cpu0 := rig.k.M.CPUs[0]
+				cpu0.EIP, cpu0.EBP = fn.Addr, 0
+				if handled, err := rig.rt.OnInvalidOpcode(rig.k.M, cpu0); err != nil || !handled {
+					t.Fatalf("OnInvalidOpcode: handled=%v err=%v", handled, err)
+				}
+				if v.shared[page] {
+					t.Fatalf("page %#x still cache-shared after recovery", page)
+				}
 
-	if gen := v.SnapshotGen(); gen == 0 {
-		t.Error("COW recovery did not advance the snapshot generation")
-	}
-	page := mem.PageAlignDown(gpaFor(fn.Addr))
-	want := v.TextPageMap()[page]
-	if v.SharedPageSet()[page] {
-		t.Fatalf("page %#x still cache-shared after recovery", page)
-	}
-	for cpuID := 0; cpuID < 2; cpuID++ {
-		got, _ := rig.k.M.CPUs[cpuID].EPT.TranslatePage(page)
-		if got != want {
-			t.Errorf("cpu%d translates %#x → %#x after COW, want private %#x", cpuID, page, got, want)
+				want := shadowHPA(t, v, page)
+				for cpuID := 0; cpuID < 2; cpuID++ {
+					cpu := rig.k.M.CPUs[cpuID]
+					if got, _ := cpu.EPT.TranslatePage(page); got != want {
+						t.Errorf("cpu%d translates %#x → %#x after COW, want private %#x", cpuID, page, got, want)
+					}
+					var code [2]byte
+					if err := cpu.Mem().Read(fn.Addr, code[:]); err != nil {
+						t.Fatal(err)
+					}
+					if code == [2]byte{ud2Page[0], ud2Page[1]} {
+						t.Errorf("cpu%d still reads UD2 at %s after recovery", cpuID, fn.Name)
+					}
+				}
+			})
 		}
-	}
-}
-
-// TestSnapshotModulePageCOW drives a recovery inside module code: the
-// privatized module page must be patched into the shared root (module PTEs
-// are root-private, unlike text PTs which are shared objects).
-func TestSnapshotModulePageCOW(t *testing.T) {
-	rig := newSwitchRig(t, 1, snapOpts(), "af_packet")
-	rig.trap(t, 0, "ctx", "appA")
-	v := rig.rt.ViewByIndex(rig.idx["appA"])
-
-	fn := moduleFunc(t, rig.k, "af_packet")
-	cpu := rig.k.M.CPUs[0]
-	cpu.EIP, cpu.EBP = fn.Addr, 0
-	if handled, err := rig.rt.OnInvalidOpcode(rig.k.M, cpu); err != nil || !handled {
-		t.Fatalf("OnInvalidOpcode in module code: handled=%v err=%v", handled, err)
-	}
-
-	page := mem.PageAlignDown(gpaFor(fn.Addr))
-	want, ok := v.ModPageMap()[page]
-	if !ok {
-		t.Fatalf("view does not shadow module page %#x", page)
-	}
-	if v.SharedPageSet()[page] {
-		t.Fatalf("module page %#x still cache-shared after recovery", page)
-	}
-	if got, _ := cpu.EPT.TranslatePage(page); got != want {
-		t.Errorf("module page %#x → %#x through shared root, want private %#x", page, got, want)
-	}
-	if gen := v.SnapshotGen(); gen == 0 {
-		t.Error("module COW did not advance the snapshot generation")
 	}
 }
 
@@ -218,8 +211,8 @@ func TestUnloadViewWhileSnapshotActive(t *testing.T) {
 	rig.trap(t, 0, "ctx", "appA")
 	rig.trap(t, 0, "resume", "")
 	rig.trap(t, 1, "ctx", "appA")
-	if rig.k.M.CPUs[0].EPT.Root() != v.snap.root {
-		t.Fatal("setup: cpu0 is not on appA's snapshot root")
+	if rig.k.M.CPUs[0].EPT.Root() != v.root {
+		t.Fatal("setup: cpu0 is not on appA's root")
 	}
 
 	if err := rig.rt.UnloadView(idx); err != nil {
@@ -231,8 +224,8 @@ func TestUnloadViewWhileSnapshotActive(t *testing.T) {
 	if _, redirected := rig.k.M.CPUs[0].EPT.TranslatePage(mem.KernelTextGPA); redirected {
 		t.Error("cpu0 text page still redirected after unload")
 	}
-	if v.HasSnapshot() {
-		t.Error("unloaded view still holds a live snapshot root")
+	if v.root != nil {
+		t.Error("unloaded view still holds its root")
 	}
 	if got := rig.rt.LastView(1); got != FullView {
 		t.Errorf("cpu1 deferred view = %d after unload, want full view", got)
@@ -246,9 +239,9 @@ func TestUnloadViewWhileSnapshotActive(t *testing.T) {
 	}
 }
 
-// TestConcurrentSwitchDuringCOWRecovery hammers the shared snapshot from
+// TestConcurrentSwitchDuringCOWRecovery hammers a view's shared root from
 // four vCPUs at once — one in a recovery storm (COW privatizations
-// patching the shared root) while three switch views under it. Run under
+// patching the root) while three switch views under it. Run under
 // `go test -race`; afterwards the switch state and every vCPU's mappings
 // must agree.
 func TestConcurrentSwitchDuringCOWRecovery(t *testing.T) {
@@ -307,14 +300,7 @@ func TestConcurrentSwitchDuringCOWRecovery(t *testing.T) {
 	if err := rig.rt.CheckSwitchState(); err != nil {
 		t.Fatal(err)
 	}
-	v := rig.rt.ViewByIndex(rig.idx["appA"])
-	var samples []uint32
-	for gpa := range v.TextPageMap() {
-		samples = append(samples, gpa)
-	}
-	for gpa := range v.ModPageMap() {
-		samples = append(samples, gpa)
-	}
+	samples := pageGPAs(rig.rt.ViewByIndex(rig.idx["appA"]))
 	for c := 0; c < ncpu; c++ {
 		if err := rig.rt.CheckVCPUMappings(c, samples); err != nil {
 			t.Errorf("cpu%d after concurrent storm: %v", c, err)

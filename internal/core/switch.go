@@ -107,11 +107,10 @@ func (r *Runtime) applySwitch(cpu *hv.CPU, idx int) {
 
 	if r.opts.SnapshotSwitch {
 		// Fast path: the whole switch — base kernel text and every module
-		// page — is one EPTP-style root swap onto the view's precomputed
-		// shared root. nil reverts the vCPU to its private identity root
-		// (the full view).
+		// page — is one EPTP-style root swap onto the view's root. nil
+		// reverts the vCPU to its private identity root (the full view).
 		if next != nil {
-			cpu.EPT.SetRoot(next.snap.root)
+			cpu.EPT.SetRoot(next.root)
 		} else {
 			cpu.EPT.SetRoot(nil)
 		}
@@ -127,9 +126,9 @@ func (r *Runtime) applySwitch(cpu *hv.CPU, idx int) {
 	// 3A: base kernel code — swap the page-directory entries covering the
 	// text (or every PTE in the ablation configuration).
 	if r.opts.PDGranularSwitch {
-		for _, pdBase := range r.textPDBases() {
+		for _, pdBase := range r.pdBases {
 			if next != nil {
-				cpu.EPT.SetPD(pdBase, next.pts[pdBase])
+				cpu.EPT.SetPD(pdBase, next.root.PD(pdBase))
 			} else {
 				cpu.EPT.SetPD(pdBase, nil)
 			}
@@ -138,7 +137,7 @@ func (r *Runtime) applySwitch(cpu *hv.CPU, idx int) {
 	} else {
 		for gpa := mem.KernelTextGPA; gpa < mem.KernelTextGPA+r.textSize; gpa += mem.PageSize {
 			if next != nil {
-				cpu.EPT.SetPTE(gpa, next.textPages[gpa])
+				cpu.EPT.SetPTE(gpa, next.root.Translate(gpa))
 			} else {
 				cpu.EPT.ClearPTE(gpa)
 			}
@@ -148,30 +147,26 @@ func (r *Runtime) applySwitch(cpu *hv.CPU, idx int) {
 
 	// 3B: kernel module code pages are scattered in the kernel heap and
 	// share PD entries with kernel data, so they are remapped
-	// individually.
+	// individually: a merge of the two views' ascending page lists clears
+	// the pages only the old view shadows and maps every page of the next.
+	var oldMods, nextMods []uint32
 	if old != nil {
-		for gpa := range old.modPages {
-			if next != nil {
-				if hpa, ok := next.modPages[gpa]; ok {
-					cpu.EPT.SetPTE(gpa, hpa)
-					pteOps++
-					continue
-				}
-			}
-			cpu.EPT.ClearPTE(gpa)
-			pteOps++
-		}
+		oldMods = old.mods
 	}
 	if next != nil {
-		for gpa, hpa := range next.modPages {
-			if old != nil {
-				if _, done := old.modPages[gpa]; done {
-					continue // already remapped above
-				}
-			}
-			cpu.EPT.SetPTE(gpa, hpa)
-			pteOps++
+		nextMods = next.mods
+	}
+	for i, j := 0, 0; i < len(oldMods) || j < len(nextMods); pteOps++ {
+		if j == len(nextMods) || i < len(oldMods) && oldMods[i] < nextMods[j] {
+			cpu.EPT.ClearPTE(oldMods[i])
+			i++
+			continue
 		}
+		if i < len(oldMods) && oldMods[i] == nextMods[j] {
+			i++
+		}
+		cpu.EPT.SetPTE(nextMods[j], next.root.Translate(nextMods[j]))
+		j++
 	}
 
 	r.m.Charge(pdOps*r.m.Cost.EPTPDSwap + pteOps*r.m.Cost.EPTPTESwap)

@@ -397,7 +397,7 @@ func TestSwitchToRemapsEPT(t *testing.T) {
 				if !redirected {
 					t.Fatalf("text page %#x not redirected under the view", gpa)
 				}
-				if want := v.textPages[gpa]; hpa != want {
+				if want := shadowHPA(t, v, gpa); hpa != want {
 					t.Errorf("text page %#x → %#x, want shadow %#x", gpa, hpa, want)
 				}
 			}

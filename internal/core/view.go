@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"facechange/internal/isa"
 	"facechange/internal/kview"
@@ -25,14 +24,18 @@ type LoadedView struct {
 	Name string
 	Cfg  *kview.View
 
-	// textPages maps each base-kernel text GPA page to its shadow HPA.
-	textPages map[uint32]uint32
-	// pts holds the prebuilt EPT page tables for the PD slots covering the
-	// base kernel text (the fast switch path).
-	pts map[uint32]*mem.PT
-	// modPages maps module-area GPA pages to shadow HPAs (the scattered
-	// pages switched PTE-by-PTE).
-	modPages map[uint32]uint32
+	// root is the view's EPT paging structure and its only GPA→HPA
+	// record: the PD slots covering the base kernel text hold PTs mapping
+	// every text page in [KernelTextGPA, textEnd) to its shadow page, and
+	// each shadowed module page is mapped in a PT shared with kernel data,
+	// which stays identity. Snapshot switching installs the root whole;
+	// the legacy path copies its PD entries or PTEs into a vCPU's EPT.
+	// Unload sets it to nil, so stale use fails loudly.
+	root    *mem.Root
+	textEnd uint32
+	// mods lists the shadowed module-area GPA pages in ascending order
+	// (the scattered pages switched PTE-by-PTE).
+	mods []uint32
 	// shared marks GPA pages whose HPA is a cache-shared page that must
 	// not be written in place; every other page is private to the view.
 	shared map[uint32]bool
@@ -44,59 +47,6 @@ type LoadedView struct {
 	// per space — the administrator's reference for ameliorating the
 	// profiling test suite (Section III-B3).
 	recovered *kview.View
-
-	// snap is the view's precomputed EPT snapshot (nil unless
-	// Options.SnapshotSwitch built one at load time).
-	snap *viewSnapshot
-}
-
-// viewSnapshot is a view's precomputed, shared EPT root: a fully
-// materialized paging structure covering the kernel text and every module
-// page of the view, built once at LoadView and installed on vCPUs with a
-// single root swap. It is immutable in shape; the only mutations are COW
-// retargets (kernel code recovery privatizing a cache-shared page), which
-// patch the root under mu and advance gen so all vCPUs on the view see the
-// recovered page immediately and observers can detect the change.
-type viewSnapshot struct {
-	mu   sync.Mutex
-	root *mem.Root
-	gen  uint64
-}
-
-// patch retargets one page after a COW privatization. Text pages need no
-// root write — the root references the view's PT objects, which viewWrite
-// already retargeted in place — but the generation advances for every
-// mutation so invalidation protocols key off gen alone.
-func (s *viewSnapshot) patch(gpaPage, hpa uint32, isText bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !isText {
-		s.root.SetPTE(gpaPage, hpa)
-	}
-	s.gen++
-}
-
-// invalidate detaches the root so a stale reference fails loudly; the
-// caller must have already reverted every vCPU off the view.
-func (s *viewSnapshot) invalidate() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.root = nil
-	s.gen++
-}
-
-// HasSnapshot reports whether the view carries a precomputed EPT snapshot.
-func (v *LoadedView) HasSnapshot() bool { return v.snap != nil && v.snap.root != nil }
-
-// SnapshotGen returns the snapshot's mutation generation (0 when the view
-// has no snapshot).
-func (v *LoadedView) SnapshotGen() uint64 {
-	if v.snap == nil {
-		return 0
-	}
-	v.snap.mu.Lock()
-	defer v.snap.mu.Unlock()
-	return v.snap.gen
 }
 
 // noteRecovered records a recovered range (absolute for the base kernel,
@@ -112,24 +62,20 @@ func (v *LoadedView) noteRecovered(space string, start, end uint32) {
 // none).
 func (v *LoadedView) Recovered() *kview.View { return v.recovered }
 
-// TextPageMap returns a copy of the base-kernel shadow map (GPA page →
-// HPA page).
-func (v *LoadedView) TextPageMap() map[uint32]uint32 {
-	out := make(map[uint32]uint32, len(v.textPages))
-	for gpa, hpa := range v.textPages {
-		out[gpa] = hpa
+// Pages calls yield with every page the view shadows and the shadow HPA
+// backing it, in ascending GPA order (the text, then the module pages),
+// until yield returns false.
+func (v *LoadedView) Pages(yield func(gpaPage, hpa uint32) bool) {
+	for gpa := mem.KernelTextGPA; gpa < v.textEnd; gpa += mem.PageSize {
+		if !yield(gpa, v.root.Translate(gpa)) {
+			return
+		}
 	}
-	return out
-}
-
-// ModPageMap returns a copy of the module-area shadow map (GPA page →
-// HPA page).
-func (v *LoadedView) ModPageMap() map[uint32]uint32 {
-	out := make(map[uint32]uint32, len(v.modPages))
-	for gpa, hpa := range v.modPages {
-		out[gpa] = hpa
+	for _, gpa := range v.mods {
+		if !yield(gpa, v.root.Translate(gpa)) {
+			return
+		}
 	}
-	return out
 }
 
 var ud2Page = buildUD2Page()
@@ -142,11 +88,6 @@ func buildUD2Page() []byte {
 	}
 	return p
 }
-
-// textPDBases returns the PD-slot base GPAs covering the kernel text,
-// precomputed at construction (the text never moves, and the legacy
-// switch path walks the slice on every committed switch).
-func (r *Runtime) textPDBases() []uint32 { return r.pdBases }
 
 // viewStage assembles a view's shadow page contents in host-side buffers
 // before any page is allocated, so each finished page can be interned in
@@ -164,7 +105,6 @@ func (r *Runtime) textPDBases() []uint32 { return r.pdBases }
 type viewStage struct {
 	order  []uint32          // page GPAs in insertion order (deterministic)
 	buf    map[uint32][]byte // GPA page → staged content; nil = pure UD2 or a delta
-	mod    map[uint32]bool   // GPA page is in the module area
 	deltas []PageDelta       // the load's deltas, sorted by GPA
 	pages  [][]byte          // page buffers kept across loads
 	used   int               // pages handed out since the last reset
@@ -174,10 +114,9 @@ type viewStage struct {
 // keeping its page buffers.
 func (s *viewStage) reset(deltas []PageDelta) {
 	if s.buf == nil {
-		s.buf, s.mod = make(map[uint32][]byte), make(map[uint32]bool)
+		s.buf = make(map[uint32][]byte)
 	}
 	clear(s.buf)
-	clear(s.mod)
 	s.order, s.deltas, s.used = s.order[:0], deltas, 0
 }
 
@@ -190,12 +129,11 @@ func (s *viewStage) hasDelta(gpaPage uint32) bool {
 	return ok
 }
 
-func (s *viewStage) addPage(gpaPage uint32, isMod bool) {
+func (s *viewStage) addPage(gpaPage uint32) {
 	if _, ok := s.buf[gpaPage]; ok {
 		return
 	}
 	s.buf[gpaPage] = nil
-	s.mod[gpaPage] = isMod
 	s.order = append(s.order, gpaPage)
 }
 
@@ -254,12 +192,11 @@ func (r *Runtime) LoadView(cfg *kview.View) (int, error) {
 // deltas it placed.
 func (r *Runtime) loadView(cfg *kview.View, deltas []PageDelta) (int, int, error) {
 	v := &LoadedView{
-		Name:      cfg.App,
-		Cfg:       cfg,
-		textPages: make(map[uint32]uint32),
-		pts:       make(map[uint32]*mem.PT),
-		modPages:  make(map[uint32]uint32),
-		shared:    make(map[uint32]bool),
+		Name:    cfg.App,
+		Cfg:     cfg,
+		root:    mem.NewRoot(),
+		textEnd: mem.KernelTextGPA + r.textSize,
+		shared:  make(map[uint32]bool),
 	}
 	stage := &r.stage
 	stage.reset(deltas)
@@ -269,9 +206,10 @@ func (r *Runtime) loadView(cfg *kview.View, deltas []PageDelta) (int, int, error
 		hits0, misses0 = r.cache.HitMiss()
 	}
 	// 1. Shadow the whole base kernel text with UD2.
-	for gpa := mem.KernelTextGPA; gpa < mem.KernelTextGPA+r.textSize; gpa += mem.PageSize {
-		stage.addPage(gpa, false)
+	for gpa := mem.KernelTextGPA; gpa < v.textEnd; gpa += mem.PageSize {
+		stage.addPage(gpa)
 	}
+	ntext := len(stage.order)
 	// 2. Load configured base-kernel code, expanded to whole functions.
 	for _, rg := range cfg.Ranges(kview.BaseKernel) {
 		if err := r.stageRange(stage, v, rg.Start, rg.End, mem.KernelTextGVA, mem.KernelTextGVA+r.textSize); err != nil {
@@ -289,7 +227,7 @@ func (r *Runtime) loadView(cfg *kview.View, deltas []PageDelta) (int, int, error
 		start := mem.PageAlignDown(mod.Base)
 		end := mem.PageAlignUp(mod.Base + mod.Size)
 		for gva := start; gva < end; gva += mem.PageSize {
-			stage.addPage(moduleGPA(gva), true)
+			stage.addPage(moduleGPA(gva))
 		}
 		// A module's shadow covers whole pages; preserve the byte ranges
 		// of the page content outside the module (other heap data) by
@@ -319,15 +257,20 @@ func (r *Runtime) loadView(cfg *kview.View, deltas []PageDelta) (int, int, error
 	// the delta's bytes, which is what staging and interning the page and
 	// then copying it on write would leave, without the staging, the hash,
 	// the intern and the copies: the delta is written once.
+	unwind := func(n int) {
+		for _, gpa := range stage.order[:n] {
+			r.releasePage(v, gpa, v.root.Translate(gpa))
+		}
+	}
 	placed := 0
-	for _, gpa := range stage.order {
+	for n, gpa := range stage.order {
 		if i, ok := slices.BinarySearchFunc(deltas, gpa, cmpDeltaGPA); ok {
 			hpa, err := r.placeDelta(gpa, deltas[i].Data)
 			if err != nil {
-				r.releasePages(v)
+				unwind(n)
 				return 0, 0, fmt.Errorf("core: place delta %#x: %w", gpa, err)
 			}
-			v.setPage(gpa, hpa, stage.mod[gpa])
+			v.root.SetPTE(gpa, hpa)
 			placed++
 			continue
 		}
@@ -339,24 +282,15 @@ func (r *Runtime) loadView(cfg *kview.View, deltas []PageDelta) (int, int, error
 		if err != nil {
 			// Partial failure (cache pressure, injected intern fault) must
 			// not leak the references already interned for this view.
-			r.releasePages(v)
+			unwind(n)
 			return 0, 0, fmt.Errorf("core: intern shadow page %#x: %w", gpa, err)
 		}
 		v.shared[gpa] = true
-		v.setPage(gpa, hpa, stage.mod[gpa])
+		v.root.SetPTE(gpa, hpa)
 	}
-	for _, pdBase := range r.textPDBases() {
-		pt := mem.NewIdentityPT(pdBase)
-		for gpa, hpa := range v.textPages {
-			if gpa&^(mem.PDSpan-1) == pdBase {
-				pt.Set(int(gpa>>mem.PageShift)&1023, hpa)
-			}
-		}
-		v.pts[pdBase] = pt
-	}
-	if r.opts.SnapshotSwitch {
-		v.snap = buildSnapshot(v)
-	}
+	// The module pages were staged after the text pages.
+	v.mods = slices.Clone(stage.order[ntext:])
+	slices.Sort(v.mods)
 	idx := len(r.views)
 	r.views = append(r.views, v)
 	if cfg.App != "" {
@@ -378,15 +312,6 @@ func (r *Runtime) loadView(cfg *kview.View, deltas []PageDelta) (int, int, error
 	return idx, placed, nil
 }
 
-// setPage records the shadow page backing gpaPage.
-func (v *LoadedView) setPage(gpaPage, hpa uint32, isMod bool) {
-	if isMod {
-		v.modPages[gpaPage] = hpa
-	} else {
-		v.textPages[gpaPage] = hpa
-	}
-}
-
 // placeDelta gives a migrated page a private host page holding data, one
 // page long (checkDeltas), written once by the allocation itself. The
 // allocation is subject to the same injected failures as an Intern.
@@ -397,23 +322,6 @@ func (r *Runtime) placeDelta(gpaPage uint32, data []byte) (uint32, error) {
 		}
 	}
 	return r.m.Host.AllocPage(data), nil
-}
-
-// buildSnapshot materializes a view's shared EPT root. The text PD slots
-// reference the view's own PT objects — the same objects viewWrite
-// retargets in place on COW — so text recoveries propagate to every vCPU
-// on the view with no snapshot write at all. Module pages land in
-// root-private PTs (they share PD slots with kernel data, which stays
-// identity mapped).
-func buildSnapshot(v *LoadedView) *viewSnapshot {
-	root := mem.NewRoot()
-	for pdBase, pt := range v.pts {
-		root.SetPD(pdBase, pt)
-	}
-	for gpa, hpa := range v.modPages {
-		root.SetPTE(gpa, hpa)
-	}
-	return &viewSnapshot{root: root}
 }
 
 // moduleGPA converts a module-area GVA to its GPA.
@@ -515,7 +423,7 @@ func (v *LoadedView) eachShadowPage(gva uint32, n int, f func(hpa uint32, off, l
 	off := 0
 	for n > 0 {
 		gpaPage := mem.PageAlignDown(gpaFor(gva))
-		hpa, _, ok := v.pageFor(gpaPage)
+		hpa, ok := v.pageFor(gpaPage)
 		if !ok {
 			return fmt.Errorf("core: view %q has no shadow page for %#x", v.Name, gva)
 		}
@@ -534,13 +442,19 @@ func (v *LoadedView) eachShadowPage(gva uint32, n int, f func(hpa uint32, off, l
 	return nil
 }
 
+// isText reports whether gpaPage is a base-kernel text page.
+func (v *LoadedView) isText(gpaPage uint32) bool {
+	return gpaPage >= mem.KernelTextGPA && gpaPage < v.textEnd
+}
+
 // pageFor looks up the shadow page backing gpaPage.
-func (v *LoadedView) pageFor(gpaPage uint32) (hpa uint32, isText, ok bool) {
-	if hpa, ok := v.textPages[gpaPage]; ok {
-		return hpa, true, true
+func (v *LoadedView) pageFor(gpaPage uint32) (hpa uint32, ok bool) {
+	if !v.isText(gpaPage) {
+		if _, ok := slices.BinarySearch(v.mods, gpaPage); !ok {
+			return 0, false
+		}
 	}
-	hpa, ok = v.modPages[gpaPage]
-	return hpa, false, ok
+	return v.root.Translate(gpaPage), true
 }
 
 // viewWrite stores bytes into the view's shadow pages, page by page. A
@@ -550,7 +464,7 @@ func (v *LoadedView) pageFor(gpaPage uint32) (hpa uint32, isText, ok bool) {
 func (r *Runtime) viewWrite(v *LoadedView, gva uint32, data []byte) error {
 	for len(data) > 0 {
 		gpaPage := mem.PageAlignDown(gpaFor(gva))
-		hpa, isText, ok := v.pageFor(gpaPage)
+		hpa, ok := v.pageFor(gpaPage)
 		if !ok {
 			return fmt.Errorf("core: view %q has no shadow page for %#x", v.Name, gva)
 		}
@@ -560,23 +474,12 @@ func (r *Runtime) viewWrite(v *LoadedView, gva uint32, data []byte) error {
 				return fmt.Errorf("core: cow %#x: %w", gva, err)
 			}
 			delete(v.shared, gpaPage)
-			if isText {
-				v.textPages[gpaPage] = private
-				// The prebuilt PT is (possibly) live in vCPU EPTs; updating
-				// it retargets the PD-granular mapping in place.
-				pdBase := gpaPage &^ (mem.PDSpan - 1)
-				if pt := v.pts[pdBase]; pt != nil {
-					pt.Set(int(gpaPage>>mem.PageShift)&1023, private)
-				}
-			} else {
-				v.modPages[gpaPage] = private
-			}
-			if v.snap != nil {
-				// Snapshot mode: patching the shared root retargets every
-				// vCPU on the view at once; no per-vCPU EPT holds copies.
-				v.snap.patch(gpaPage, private, isText)
-			} else {
-				r.remapLive(v, gpaPage, private, isText)
+			// The root's PTs are live wherever the view is installed by
+			// reference: the whole root under snapshot switching, the text
+			// PD slots under PD-granular switching.
+			v.root.SetPTE(gpaPage, private)
+			if !r.opts.SnapshotSwitch {
+				r.remapLive(v, gpaPage, private)
 			}
 			hpa = private
 		}
@@ -595,28 +498,24 @@ func (r *Runtime) viewWrite(v *LoadedView, gva uint32, data []byte) error {
 }
 
 // remapLive points every vCPU currently running the view at a page's new
-// HPA. PD-granular text mappings share the view's PT object and are
-// already up to date; PTE-granular text and module pages were copied into
-// the vCPU's EPT at switch time and must be rewritten.
-func (r *Runtime) remapLive(v *LoadedView, gpaPage, hpa uint32, isText bool) {
+// HPA on the legacy switch path. PD-granular text mappings share the
+// root's PT objects and are already up to date; PTE-granular text and
+// module pages were copied into the vCPU's EPT at switch time and must be
+// rewritten.
+func (r *Runtime) remapLive(v *LoadedView, gpaPage, hpa uint32) {
+	if v.isText(gpaPage) && r.opts.PDGranularSwitch {
+		return
+	}
 	for i, st := range r.cpus {
-		if r.viewByIndex(st.active) != v {
-			continue
+		if r.viewByIndex(st.active) == v {
+			r.m.CPUs[i].EPT.SetPTE(gpaPage, hpa)
 		}
-		if isText && r.opts.PDGranularSwitch {
-			continue
-		}
-		r.m.CPUs[i].EPT.SetPTE(gpaPage, hpa)
 	}
 }
 
 // covers reports whether the view shadows the page containing gva.
 func (v *LoadedView) covers(gva uint32) bool {
-	gpaPage := mem.PageAlignDown(gpaFor(gva))
-	if _, ok := v.textPages[gpaPage]; ok {
-		return true
-	}
-	_, ok := v.modPages[gpaPage]
+	_, ok := v.pageFor(mem.PageAlignDown(gpaFor(gva)))
 	return ok
 }
 
@@ -757,12 +656,10 @@ func (r *Runtime) unloadView(idx int) error {
 		}
 	}
 	r.releasePages(v)
-	if v.snap != nil {
-		// Every vCPU was reverted above, so no EPT references the root;
-		// detaching it makes any stale use fail loudly instead of
-		// translating through freed shadow pages.
-		v.snap.invalidate()
-	}
+	// Every vCPU was reverted above, so no EPT references the root;
+	// detaching it makes any stale use fail loudly instead of translating
+	// through freed shadow pages.
+	v.root = nil
 	for name, i := range r.byName {
 		if i == idx {
 			delete(r.byName, name)
@@ -776,20 +673,22 @@ func (r *Runtime) unloadView(idx int) error {
 	return nil
 }
 
-// releasePages drops every page reference a view holds: cache-shared pages
-// are released (freed once the last view unmaps them), private
-// copy-on-write pages are freed outright. Used by UnloadView and by
-// LoadView's partial-failure unwind.
+// releasePages drops every page reference a view holds (see releasePage).
 func (r *Runtime) releasePages(v *LoadedView) {
-	free := func(pages map[uint32]uint32) {
-		for gpa, hpa := range pages {
-			if v.shared[gpa] {
-				r.cache.Release(hpa)
-			} else {
-				r.m.Host.FreePage(hpa)
-			}
-		}
+	v.Pages(func(gpaPage, hpa uint32) bool {
+		r.releasePage(v, gpaPage, hpa)
+		return true
+	})
+}
+
+// releasePage drops one page reference of a view: a cache-shared page is
+// released (freed once the last view unmaps it), a private copy-on-write
+// page is freed outright. Used by UnloadView and by LoadView's
+// partial-failure unwind.
+func (r *Runtime) releasePage(v *LoadedView, gpaPage, hpa uint32) {
+	if v.shared[gpaPage] {
+		r.cache.Release(hpa)
+	} else {
+		r.m.Host.FreePage(hpa)
 	}
-	free(v.textPages)
-	free(v.modPages)
 }

@@ -51,14 +51,6 @@ func NewChunkStore() *ChunkStore {
 	}
 }
 
-// Has reports whether a chunk is resident.
-func (s *ChunkStore) Has(h Hash) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.entries[h]
-	return ok
-}
-
 // Ref takes one reference on a resident chunk without any data transfer —
 // the delta-sync fast path. The reference goes through the page cache's
 // intern (a guaranteed hit), so cache statistics count exactly the pages

@@ -258,21 +258,8 @@ func (k *Kernel) SetNICRate(period uint64, fam SockFam) {
 // Clock returns the active clocksource.
 func (k *Kernel) Clock() ClockSource { return k.clock }
 
-// SetClock changes the clocksource (QEMU→KVM environment change).
-func (k *Kernel) SetClock(c ClockSource) { k.clock = c }
-
 // Tasks returns all tasks (including dead ones), in creation order.
 func (k *Kernel) Tasks() []*Task { return k.tasks }
-
-// TaskByPID finds a live task.
-func (k *Kernel) TaskByPID(pid int) (*Task, bool) {
-	for _, t := range k.tasks {
-		if t.PID == pid && t.State != TaskDead {
-			return t, true
-		}
-	}
-	return nil, false
-}
 
 // TaskByName finds the first live task with the given comm.
 func (k *Kernel) TaskByName(name string) (*Task, bool) {
@@ -293,13 +280,6 @@ func (k *Kernel) Modules() []ModuleInfo {
 	}
 	return out
 }
-
-// ContextSwitchAddr returns the guest address FACE-CHANGE breakpoints for
-// view switching.
-func (k *Kernel) ContextSwitchAddr() uint32 { return k.Syms.MustAddr("context_switch") }
-
-// ResumeUserspaceAddr returns the deferred switch point.
-func (k *Kernel) ResumeUserspaceAddr() uint32 { return k.Syms.MustAddr("resume_userspace") }
 
 // StartTask creates a runnable process from spec, pinned to the
 // least-loaded CPU.

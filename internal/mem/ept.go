@@ -57,9 +57,9 @@ func ptIndex(gpa uint32) int { return int(gpa>>PageShift) & (ptEntries - 1) }
 
 // Root is one complete EPT paging structure: the PD array a vCPU's
 // translations walk. A nil PD entry means the 4 MB region is identity
-// mapped. Every EPT owns a private Root for the legacy rewrite path;
-// precomputed view snapshots are standalone Roots installed with SetRoot
-// and shared read-only across vCPUs.
+// mapped. Every EPT owns a private Root for the legacy rewrite path; each
+// kernel view is a standalone Root, installed with SetRoot and shared
+// across vCPUs.
 type Root struct {
 	pd [pdEntries]*PT
 }

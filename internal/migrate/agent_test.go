@@ -102,11 +102,12 @@ func TestExportOutlivesCommit(t *testing.T) {
 	v := src.rt.ViewByIndex(src.rt.ViewIndex("webapp"))
 	shared := v.SharedPageSet()
 	private := map[uint32]uint32{} // HPA → GPA
-	for gpa, hpa := range v.TextPageMap() {
+	v.Pages(func(gpa, hpa uint32) bool {
 		if !shared[gpa] {
 			private[hpa] = gpa
 		}
-	}
+		return true
+	})
 	if len(private) != len(want) {
 		t.Fatalf("%d private pages after seeding, want %d", len(private), len(want))
 	}

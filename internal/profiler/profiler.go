@@ -55,11 +55,6 @@ func (p *Profiler) Track(t *kernel.Task) {
 	p.views[t.PID] = kview.NewView(t.Name)
 }
 
-// TrackPID starts recording for a pid with an explicit app name.
-func (p *Profiler) TrackPID(pid int, name string) {
-	p.views[pid] = kview.NewView(name)
-}
-
 func (p *Profiler) refreshModules() {
 	mods := p.k.Modules()
 	p.mods = p.mods[:0]
@@ -129,11 +124,4 @@ func (p *Profiler) ViewFor(pid int) (*kview.View, bool) {
 	out := kview.UnionViews(v.App, v, p.irq)
 	out.App = v.App
 	return out, true
-}
-
-// RawViewFor returns only the application-context ranges (no interrupt
-// set) — used by analyses that decompose where view content comes from.
-func (p *Profiler) RawViewFor(pid int) (*kview.View, bool) {
-	v, ok := p.views[pid]
-	return v, ok
 }

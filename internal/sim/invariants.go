@@ -50,15 +50,14 @@ func (s *Simulator) checkCacheBalance() error {
 	for _, idx := range s.rt.LoadedIndices() {
 		v := s.rt.ViewByIndex(idx)
 		shared := v.SharedPageSet()
-		for _, pages := range []map[uint32]uint32{v.TextPageMap(), v.ModPageMap()} {
-			for gpa, hpa := range pages {
-				if shared[gpa] {
-					want[hpa]++
-				} else {
-					private[hpa] = true
-				}
+		v.Pages(func(gpa, hpa uint32) bool {
+			if shared[gpa] {
+				want[hpa]++
+			} else {
+				private[hpa] = true
 			}
-		}
+			return true
+		})
 	}
 	snap := s.rt.Cache().Snapshot()
 	for hpa, refs := range snap {
@@ -127,20 +126,11 @@ func (s *Simulator) checkSharedCore() error {
 
 // checkEPT verifies that every vCPU's EPT agrees with its active view —
 // the freed-page tripwire: a mapping left pointing at a released (and
-// possibly reused) shadow page disagrees with the live view maps. The
-// sampled form checks a few random text pages plus every module page of
-// every loaded view; the full form checks every text page too.
+// possibly reused) shadow page disagrees with the live view. The sampled
+// form checks a few random text pages plus the first 64 module pages of
+// the loaded views in index and GPA order (a fixed set, so a failing seed
+// fails again on replay); the full form checks every text page too.
 func (s *Simulator) checkEPT(full bool) error {
-	if s.rt.Opts().SnapshotSwitch {
-		// Every loaded view must carry a live precomputed root; the
-		// per-vCPU root-identity check inside CheckVCPUMappings only sees
-		// the views that are active somewhere.
-		for _, idx := range s.rt.LoadedIndices() {
-			if v := s.rt.ViewByIndex(idx); !v.HasSnapshot() {
-				return fmt.Errorf("sim: view %q (index %d) has no live EPT snapshot in snapshot-switch mode", v.Name, idx)
-			}
-		}
-	}
 	var samples []uint32
 	if full {
 		for gpa := mem.KernelTextGPA; gpa < mem.KernelTextGPA+s.textSize; gpa += mem.PageSize {
@@ -153,13 +143,17 @@ func (s *Simulator) checkEPT(full bool) error {
 	}
 	modSamples := 0
 	for _, idx := range s.rt.LoadedIndices() {
-		v := s.rt.ViewByIndex(idx)
-		for gpa := range v.ModPageMap() {
-			samples = append(samples, gpa)
-			if modSamples++; modSamples >= 64 {
-				break
+		s.rt.ViewByIndex(idx).Pages(func(gpa, _ uint32) bool {
+			if gpa < mem.ModuleGPA {
+				return true // text, sampled above
 			}
-		}
+			if modSamples == 64 {
+				return false
+			}
+			samples = append(samples, gpa)
+			modSamples++
+			return true
+		})
 	}
 	for cpuID := range s.k.M.CPUs {
 		if err := s.rt.CheckVCPUMappings(cpuID, samples); err != nil {
@@ -169,13 +163,14 @@ func (s *Simulator) checkEPT(full bool) error {
 	return nil
 }
 
-// shadowPages merges a view's text and module shadow maps (GPA page →
-// shadow HPA) for the byte-level checks.
+// shadowPages collects a view's shadow pages (GPA page → shadow HPA) for
+// the byte-level checks.
 func (s *Simulator) shadowPages(v *core.LoadedView) map[uint32]uint32 {
-	pages := v.TextPageMap()
-	for gpa, hpa := range v.ModPageMap() {
+	pages := make(map[uint32]uint32)
+	v.Pages(func(gpa, hpa uint32) bool {
 		pages[gpa] = hpa
-	}
+		return true
+	})
 	return pages
 }
 

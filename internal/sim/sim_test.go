@@ -156,8 +156,7 @@ func TestCheckersDetectCorruption(t *testing.T) {
 		s := newLoaded(t)
 		rt := s.Runtime()
 		v := rt.ViewByIndex(rt.LoadedIndices()[0])
-		for gpa, hpa := range v.TextPageMap() {
-			_ = gpa
+		v.Pages(func(_, hpa uint32) bool {
 			// A byte that is neither pristine nor either UD2 pattern byte.
 			pristine := make([]byte, 1)
 			if err := s.Kernel().Host.Read(hpa+7, pristine); err != nil {
@@ -170,8 +169,8 @@ func TestCheckersDetectCorruption(t *testing.T) {
 			if err := s.Kernel().Host.Write(hpa+7, []byte{foreign}); err != nil {
 				t.Fatal(err)
 			}
-			break
-		}
+			return false
+		})
 		err := s.CheckAll()
 		if err == nil || !strings.Contains(err.Error(), "isolation") {
 			t.Fatalf("corrupted shadow byte not detected: %v", err)
@@ -183,12 +182,13 @@ func TestCheckersDetectCorruption(t *testing.T) {
 		rt := s.Runtime()
 		v := rt.ViewByIndex(rt.LoadedIndices()[0])
 		shared := v.SharedPageSet()
-		for gpa, hpa := range v.TextPageMap() {
+		v.Pages(func(gpa, hpa uint32) bool {
 			if shared[gpa] {
 				rt.Cache().Release(hpa) // drop a ref the view still holds
-				break
+				return false
 			}
-		}
+			return true
+		})
 		if err := s.CheckAll(); err == nil {
 			t.Fatal("dropped cache reference not detected")
 		}
@@ -267,12 +267,14 @@ func TestRunStopsOnViolation(t *testing.T) {
 	// Break an invariant, then run one more scripted step.
 	rt := s.Runtime()
 	v := rt.ViewByIndex(rt.LoadedIndices()[0])
-	for gpa, hpa := range v.TextPageMap() {
-		if v.SharedPageSet()[gpa] {
+	shared := v.SharedPageSet()
+	v.Pages(func(gpa, hpa uint32) bool {
+		if shared[gpa] {
 			rt.Cache().Release(hpa)
-			break
+			return false
 		}
-	}
+		return true
+	})
 	s2 := enc(Event{Kind: EvCtxSwitch, CPU: 0})
 	res, err := s.RunScript(s2)
 	var viol *Violation

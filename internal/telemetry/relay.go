@@ -42,7 +42,7 @@ type relayPending struct {
 // peek/commit semantics. It is deliberately unbounded: the ack protocol
 // itself bounds it — a node keeps at most one unacknowledged batch in
 // flight, so the queue never holds more than one batch per connected
-// node. HighWater records the largest backlog seen.
+// node.
 type RelayQueue struct {
 	mu        sync.Mutex
 	q         []Batch
@@ -50,7 +50,6 @@ type RelayQueue struct {
 	appended  uint64 // batches ever appended
 	committed uint64 // batches committed (relayed upstream)
 	events    uint64 // events ever appended
-	highWater int
 }
 
 // NewRelayQueue creates an empty queue.
@@ -65,9 +64,6 @@ func (r *RelayQueue) Append(b Batch, ack func()) {
 	r.q = append(r.q, b)
 	r.appended++
 	r.events += uint64(len(b.Events))
-	if len(r.q) > r.highWater {
-		r.highWater = len(r.q)
-	}
 	if ack != nil {
 		r.pending = append(r.pending, relayPending{due: r.appended, ack: ack})
 	}
@@ -116,13 +112,6 @@ func (r *RelayQueue) Events() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.events
-}
-
-// HighWater returns the largest batch backlog observed.
-func (r *RelayQueue) HighWater() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.highWater
 }
 
 // SeqTracker dedupes re-sent telemetry batches at the aggregation point.
