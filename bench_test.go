@@ -199,6 +199,25 @@ func BenchmarkProfile(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelBoot measures one guest boot: kernel.New and two module
+// loads. The guest's RAM goes back to the pool after each boot, so the
+// figure is the kernel image work, not zeroing 40 MB of fresh RAM.
+func BenchmarkKernelBoot(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k, err := kernel.New(kernel.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range []string{"af_packet", "snd"} {
+			if _, err := k.LoadModule(m); err != nil {
+				b.Fatal(err)
+			}
+		}
+		k.Host.Release()
+	}
+}
+
 // BenchmarkViewLoad measures kernel view materialization (UD2 fill +
 // whole-function load).
 func BenchmarkViewLoad(b *testing.B) {

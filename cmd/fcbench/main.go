@@ -10,7 +10,7 @@
 //	fcbench -fig6
 //	fcbench -fig7
 //	fcbench -ablations
-//	fcbench -baseline -out BENCH_baseline.json
+//	fcbench -baseline [-out BENCH_baseline.json]
 //	fcbench -all
 package main
 
@@ -40,7 +40,7 @@ func run() error {
 		fig7      = flag.Bool("fig7", false, "Apache I/O throughput sweep (Figure 7)")
 		ablations = flag.Bool("ablations", false, "design-choice ablations (Section III-B)")
 		baseline  = flag.Bool("baseline", false, "hot-path charged-cost baseline (JSON artifact)")
-		out       = flag.String("out", "BENCH_baseline.json", "output path for -baseline")
+		out       = flag.String("out", "", "write the -baseline JSON artifact to this path (default: print only)")
 		all       = flag.Bool("all", false, "everything")
 		syscalls  = flag.Int("syscalls", 400, "profiling workload length")
 		verbose   = flag.Bool("v", false, "print attack provenance logs (with -table2)")
@@ -61,14 +61,16 @@ func run() error {
 			return err
 		}
 		fmt.Print(b.Format())
-		data, err := json.MarshalIndent(b, "", "  ")
-		if err != nil {
-			return err
+		if *out != "" {
+			data, err := json.MarshalIndent(b, "", "  ")
+			if err != nil {
+				return err
+			}
+			if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
+				return err
+			}
+			fmt.Printf("wrote %s\n", *out)
 		}
-		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *out)
 		if !*table1 && !*table2 && !*fig6 && !*fig7 && !*ablations {
 			return nil
 		}

@@ -8,6 +8,7 @@ import (
 	"facechange/internal/apps"
 	"facechange/internal/core"
 	"facechange/internal/kview"
+	"facechange/internal/sim"
 )
 
 // TestGoldenViewConfigRoundTrip: exporting a profiled view configuration
@@ -81,5 +82,51 @@ func TestGoldenViewConfigRoundTrip(t *testing.T) {
 	pages := uint64(len(p2))
 	if st.DedupedPages < pages {
 		t.Errorf("DedupedPages = %d, want ≥ %d (the whole re-imported view)", st.DedupedPages, pages)
+	}
+}
+
+// TestSimDigestPins replays the three fcsim runs that CI pins, in process
+// and with fcsim's flag defaults, and asserts their trace digests:
+//
+//	fcsim -seed 1 -steps 20000 -faults all
+//	fcsim -seed 3 -steps 15000 -faults all -legacy -mix churn
+//	fcsim -seed 3 -steps 12000 -mix migrate
+func TestSimDigestPins(t *testing.T) {
+	all, err := sim.ParseFaults("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pin := range []struct {
+		name   string
+		seed   int64
+		steps  int
+		legacy bool
+		mix    string
+		digest uint64
+	}{
+		{"snapshot", 1, 20000, false, "default", 0x909592cdb23b9568},
+		{"legacy-churn", 3, 15000, true, "churn", 0x988b04a5d7de321a},
+		{"migrate", 3, 12000, false, "migrate", 0xd50b7d69529aa3cf},
+	} {
+		t.Run(pin.name, func(t *testing.T) {
+			res, err := sim.Run(sim.Config{
+				Seed:         pin.seed,
+				Steps:        pin.steps,
+				CPUs:         2,
+				Faults:       all,
+				FaultRate:    0.01,
+				Workers:      2,
+				MaxViews:     6,
+				CheckEvery:   2000,
+				LegacySwitch: pin.legacy,
+				Mix:          pin.mix,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Digest != pin.digest {
+				t.Fatalf("digest %016x, want %016x", res.Digest, pin.digest)
+			}
+		})
 	}
 }

@@ -1,6 +1,9 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Asm assembles a single function body into bytes. Relative call/jump
 // targets may be symbolic; they are resolved by the caller via Fixups after
@@ -125,6 +128,7 @@ func (a *Asm) Pad(n int) *Asm {
 	if len(a.buf) > n {
 		panic(fmt.Sprintf("isa: body %d bytes exceeds padded size %d", len(a.buf), n))
 	}
+	a.buf = slices.Grow(a.buf, n-len(a.buf))
 	for n-len(a.buf) >= 7 {
 		a.buf = append(a.buf, Byte0F, ByteNopLSec, 0, 0, 0, 0, 0)
 	}

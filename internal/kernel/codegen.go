@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"sync"
 
 	"facechange/internal/isa"
 	"facechange/internal/mem"
@@ -78,30 +79,43 @@ const FuncAlign = 16
 
 // Image is the generated kernel: base kernel bytes plus relocatable module
 // images, the symbol table, and the branch-condition side table.
+//
+// The base kernel part (Text, the base functions and their conditions)
+// belongs to a base image that may be shared read-only with other guests;
+// Modules, the module functions and their conditions belong to this Image
+// alone.
 type Image struct {
 	// Text is the base kernel code section, loaded at mem.KernelTextGVA.
+	// It is the base image's slice: never write to it.
 	Text []byte
 	// Symbols covers base kernel functions and, after LoadModule, module
 	// functions.
 	Symbols *SymbolTable
-	// Conds maps the GVA of each generated conditional branch instruction
-	// to its condition key (debug info consumed by the CPU's branch
-	// evaluator hook).
-	Conds map[uint32]CondKey
 	// Modules holds the prebuilt module images by name.
 	Modules map[string]*ModuleImage
 
-	funcsByName map[string]*genFunc
+	base *baseImage
+	// modConds maps the GVA of each linked module's conditional branches
+	// to its condition key.
+	modConds map[uint32]CondKey
+}
+
+// baseImage is a compiled base catalog: the text, its branch conditions
+// and its functions, indexed by name and by address. It is immutable once
+// buildBase returns, so any number of guests may share one; its *Func
+// values must never be written.
+type baseImage struct {
+	text   []byte
+	conds  map[uint32]CondKey
+	byName map[string]*Func
+	sorted []*Func // by Addr
 }
 
 // ModuleImage is a compiled, not-yet-loaded module.
 type ModuleImage struct {
 	Name string
-	// Code is the module's code, position-relative; call targets into the
-	// base kernel and intra-module targets are fixed up at load time.
-	Code []byte
-	// Funcs lists the module's functions with module-relative addresses in
-	// Addr until loaded.
+	// Funcs lists the module's functions; Addr is 0 until the module is
+	// linked.
 	Funcs []*Func
 
 	gens []*genFunc
@@ -120,7 +134,7 @@ type genFunc struct {
 // emit assembles one function body (without final address resolution).
 func emit(spec FnSpec) (*genFunc, error) {
 	var a isa.Asm
-	conds := make(map[int]CondKey)
+	var conds map[int]CondKey
 	a.Prologue()
 	var emitSteps func(steps []Step) error
 	emitSteps = func(steps []Step) error {
@@ -138,6 +152,9 @@ func emit(spec FnSpec) (*genFunc, error) {
 				})
 				if innerErr != nil {
 					return innerErr
+				}
+				if conds == nil {
+					conds = make(map[int]CondKey)
 				}
 				conds[condOff] = s.Cond
 			case StepTailJmp:
@@ -199,38 +216,98 @@ func alignUp(v, align uint32) uint32 { return (v + align - 1) &^ (align - 1) }
 
 // BuildImage generates the kernel from the base catalog and module specs.
 func BuildImage(base []FnSpec, modules []ModuleSpec) (*Image, error) {
-	img := &Image{
-		Conds:       make(map[uint32]CondKey),
-		Modules:     make(map[string]*ModuleImage, len(modules)),
-		funcsByName: make(map[string]*genFunc),
+	b, err := buildBase(base)
+	if err != nil {
+		return nil, err
 	}
+	return b.withModules(modules)
+}
 
-	var gens []*genFunc
+var (
+	sharedOnce sync.Once
+	shared     *baseImage
+	sharedErr  error
+)
+
+// sharedBase returns the process's one compiled BaseCatalog(), built on
+// first use. Every guest that New boots reads it; none writes it.
+func sharedBase() (*baseImage, error) {
+	sharedOnce.Do(func() { shared, sharedErr = buildBase(BaseCatalog()) })
+	return shared, sharedErr
+}
+
+// buildBase compiles the base kernel: it lays out the text, resolves its
+// calls and records its branch conditions.
+func buildBase(specs []FnSpec) (*baseImage, error) {
+	b := &baseImage{
+		conds:  make(map[uint32]CondKey),
+		byName: make(map[string]*Func, len(specs)),
+		sorted: make([]*Func, 0, len(specs)),
+	}
+	gens := make([]*genFunc, 0, len(specs))
 	addr := mem.KernelTextGVA
-	for _, spec := range base {
+	for _, spec := range specs {
 		g, err := emit(spec)
 		if err != nil {
 			return nil, err
 		}
 		g.fn.Addr = addr
 		addr = alignUp(addr+g.fn.Size, FuncAlign)
-		gens = append(gens, g)
-		if _, dup := img.funcsByName[g.fn.Name]; dup {
+		if _, dup := b.byName[g.fn.Name]; dup {
 			return nil, fmt.Errorf("kernel: duplicate function %q", g.fn.Name)
 		}
-		img.funcsByName[g.fn.Name] = g
+		b.byName[g.fn.Name] = g.fn
+		// Entries ascend in catalog order, so this is the address index.
+		b.sorted = append(b.sorted, g.fn)
+		gens = append(gens, g)
 	}
 	textSize := addr - mem.KernelTextGVA
 	if textSize > mem.KernelTextMax {
 		return nil, fmt.Errorf("kernel: text %d bytes exceeds maximum %d", textSize, mem.KernelTextMax)
 	}
 
-	// Generate modules at module-relative addresses (Addr = offset within
-	// module until loaded).
-	var allFuncs []*Func
-	for _, g := range gens {
-		allFuncs = append(allFuncs, g.fn)
+	// Lay out base kernel text and resolve base-kernel fixups. Base kernel
+	// code must not call into modules directly (modules are reached via
+	// indirect slots, as in Linux), so only base symbols resolve.
+	b.text = make([]byte, textSize)
+	lookup := func(sym string) (uint32, bool) {
+		f, ok := b.byName[sym]
+		if !ok {
+			return 0, false
+		}
+		return f.Addr, true
 	}
+	for _, g := range gens {
+		off := g.fn.Addr - mem.KernelTextGVA
+		copy(b.text[off:], g.body)
+		seg := b.text[off : off+g.fn.Size]
+		if err := isa.ResolveFixups(seg, g.fn.Addr, g.fixups, lookup); err != nil {
+			return nil, fmt.Errorf("%s: %w", g.fn.Name, err)
+		}
+		for bodyOff, key := range g.conds {
+			b.conds[g.fn.Addr+uint32(bodyOff)] = key
+		}
+		// Fill the alignment gap after the function with NOPs (compilers
+		// pad with NOP-like bytes; the gap content must not contain a fake
+		// prologue).
+		end := off + g.fn.Size
+		for i := end; i < alignUp(end, FuncAlign) && i < textSize; i++ {
+			b.text[i] = isa.ByteNop
+		}
+	}
+	return b, nil
+}
+
+// withModules compiles module specs against the base into a guest's own
+// Image. Module functions get addresses when LinkModule places them.
+func (b *baseImage) withModules(modules []ModuleSpec) (*Image, error) {
+	img := &Image{
+		Text:     b.text,
+		Modules:  make(map[string]*ModuleImage, len(modules)),
+		base:     b,
+		modConds: make(map[uint32]CondKey),
+	}
+	st := &SymbolTable{base: b, modules: make(map[string]*Func)}
 	for _, ms := range modules {
 		mi := &ModuleImage{Name: ms.Name}
 		for _, spec := range ms.Funcs {
@@ -239,57 +316,33 @@ func BuildImage(base []FnSpec, modules []ModuleSpec) (*Image, error) {
 				return nil, fmt.Errorf("module %s: %w", ms.Name, err)
 			}
 			g.fn.Module = ms.Name
-			g.fn.Addr = 0 // unassigned until load
-			mi.gens = append(mi.gens, g)
-			mi.Funcs = append(mi.Funcs, g.fn)
-			if _, dup := img.funcsByName[g.fn.Name]; dup {
+			if _, dup := st.ByName(g.fn.Name); dup {
 				return nil, fmt.Errorf("kernel: duplicate function %q in module %s", g.fn.Name, ms.Name)
 			}
-			img.funcsByName[g.fn.Name] = g
-			allFuncs = append(allFuncs, g.fn)
+			st.modules[g.fn.Name] = g.fn
+			mi.gens = append(mi.gens, g)
+			mi.Funcs = append(mi.Funcs, g.fn)
 		}
 		img.Modules[ms.Name] = mi
 	}
-
-	img.Symbols = NewSymbolTable(allFuncs)
-
-	// Lay out base kernel text and resolve base-kernel fixups. Module
-	// symbols are not resolvable yet; base kernel code must not call into
-	// modules directly (modules are reached via indirect slots, as in
-	// Linux).
-	img.Text = make([]byte, textSize)
-	lookup := func(sym string) (uint32, bool) {
-		g, ok := img.funcsByName[sym]
-		if !ok || g.fn.Module != "" || g.fn.Addr == 0 {
-			return 0, false
-		}
-		return g.fn.Addr, true
-	}
-	for _, g := range gens {
-		off := g.fn.Addr - mem.KernelTextGVA
-		copy(img.Text[off:], g.body)
-		seg := img.Text[off : off+g.fn.Size]
-		if err := isa.ResolveFixups(seg, g.fn.Addr, g.fixups, lookup); err != nil {
-			return nil, fmt.Errorf("%s: %w", g.fn.Name, err)
-		}
-		for bodyOff, key := range g.conds {
-			img.Conds[g.fn.Addr+uint32(bodyOff)] = key
-		}
-	}
-	// Fill inter-function alignment gaps with NOPs (compilers pad with
-	// NOP-like bytes; the gap content must not contain a fake prologue).
-	for _, g := range gens {
-		end := g.fn.Addr - mem.KernelTextGVA + g.fn.Size
-		next := alignUp(end, FuncAlign)
-		for i := end; i < next && i < textSize; i++ {
-			img.Text[i] = isa.ByteNop
-		}
-	}
+	st.sorted = append(make([]*Func, 0, len(b.sorted)+len(st.modules)), b.sorted...)
+	img.Symbols = st
 	return img, nil
 }
 
 // TextSize returns the base kernel code size in bytes.
 func (img *Image) TextSize() uint32 { return uint32(len(img.Text)) }
+
+// Cond returns the condition key of the conditional branch at addr (debug
+// info consumed by the CPU's branch evaluator hook).
+func (img *Image) Cond(addr uint32) (CondKey, bool) {
+	if mem.IsModuleGVA(addr) {
+		key, ok := img.modConds[addr]
+		return key, ok
+	}
+	key, ok := img.base.conds[addr]
+	return key, ok
+}
 
 // LinkModule relocates a module image to base (a GVA in the module area)
 // and returns its final code bytes. Call targets referring to base-kernel
@@ -312,11 +365,11 @@ func (img *Image) LinkModule(name string, base uint32) ([]byte, error) {
 	size := addr - base
 	code := make([]byte, size)
 	lookup := func(sym string) (uint32, bool) {
-		g, ok := img.funcsByName[sym]
-		if !ok || g.fn.Addr == 0 {
+		f, ok := img.Symbols.ByName(sym)
+		if !ok || f.Addr == 0 {
 			return 0, false
 		}
-		return g.fn.Addr, true
+		return f.Addr, true
 	}
 	for _, g := range mi.gens {
 		off := g.fn.Addr - base
@@ -326,7 +379,7 @@ func (img *Image) LinkModule(name string, base uint32) ([]byte, error) {
 			return nil, fmt.Errorf("module %s: %s: %w", name, g.fn.Name, err)
 		}
 		for bodyOff, key := range g.conds {
-			img.Conds[g.fn.Addr+uint32(bodyOff)] = key
+			img.modConds[g.fn.Addr+uint32(bodyOff)] = key
 		}
 		end := off + g.fn.Size
 		for i := end; i < alignUp(end, FuncAlign) && i < size; i++ {
@@ -346,7 +399,7 @@ func (img *Image) UnlinkModule(name string) error {
 	}
 	for _, g := range mi.gens {
 		for bodyOff := range g.conds {
-			delete(img.Conds, g.fn.Addr+uint32(bodyOff))
+			delete(img.modConds, g.fn.Addr+uint32(bodyOff))
 		}
 		g.fn.Addr = 0
 	}

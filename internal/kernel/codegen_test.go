@@ -84,14 +84,15 @@ func TestConditionalBranchesRegistered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(img.Conds) == 0 {
+	if len(img.base.conds) == 0 {
 		t.Fatal("no conditional branches registered")
 	}
-	// Every registered branch address must hold a jz instruction inside
-	// the base kernel text.
-	for addr, key := range img.Conds {
+	// Every registered base branch address must hold a jz instruction
+	// inside the base kernel text (module conds are registered at link
+	// time).
+	for addr, key := range img.base.conds {
 		if addr < mem.KernelTextGVA || addr >= mem.KernelTextGVA+img.TextSize() {
-			continue // module conds are registered at link time
+			t.Fatalf("base cond %d at %#x lies outside the text", key, addr)
 		}
 		b := img.Text[addr-mem.KernelTextGVA]
 		if b != isa.ByteJz {

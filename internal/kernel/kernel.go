@@ -133,20 +133,28 @@ type Kernel struct {
 	Interrupts      uint64
 }
 
-// New builds the kernel image, loads it into a fresh machine and returns
-// the kernel runtime.
+// New compiles the guest's modules against the process's shared base
+// kernel, loads the image into a fresh machine and returns the kernel
+// runtime.
 func New(cfg Config) (*Kernel, error) {
+	base, err := sharedBase()
+	if err != nil {
+		return nil, fmt.Errorf("kernel: build image: %w", err)
+	}
+	img, err := base.withModules(append(StandardModules(), cfg.ExtraModules...))
+	if err != nil {
+		return nil, fmt.Errorf("kernel: build image: %w", err)
+	}
+	return boot(cfg, img)
+}
+
+// boot loads img into a fresh machine and returns the kernel runtime.
+func boot(cfg Config, img *Image) (*Kernel, error) {
 	if cfg.NCPU <= 0 {
 		cfg.NCPU = 1
 	}
 	if cfg.Clock == 0 {
 		cfg.Clock = ClockKVM
-	}
-	mods := StandardModules()
-	mods = append(mods, cfg.ExtraModules...)
-	img, err := BuildImage(BaseCatalog(), mods)
-	if err != nil {
-		return nil, fmt.Errorf("kernel: build image: %w", err)
 	}
 	k := &Kernel{
 		Img:         img,
@@ -745,7 +753,7 @@ func (k *Kernel) slotKey(c *hv.CPU, s Slot) (uint32, error) {
 
 // EvalCond implements hv.GuestOS.
 func (k *Kernel) EvalCond(c *hv.CPU, addr uint32) (bool, error) {
-	key, ok := k.Img.Conds[addr]
+	key, ok := k.Img.Cond(addr)
 	if !ok {
 		return false, fmt.Errorf("kernel: no condition registered at %#x", addr)
 	}

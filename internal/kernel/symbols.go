@@ -1,7 +1,9 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -26,48 +28,43 @@ func (f *Func) End() uint32 { return f.Addr + f.Size }
 // SymbolTable resolves addresses to functions and names to addresses, like
 // System.map. FACE-CHANGE's provenance log uses it for demonstration only
 // ("symbols of kernel functions are not necessary for backtracking").
+//
+// The base kernel's functions and their index come from the base image and
+// are only read; the table owns its module functions.
 type SymbolTable struct {
-	byName map[string]*Func
-	sorted []*Func // by Addr, only functions with assigned addresses
+	base    *baseImage
+	modules map[string]*Func // module functions, loaded or not
+	// sorted is the base index followed by the loaded module functions by
+	// Addr: every module GVA lies above the base text. Its array is the
+	// table's own, so the base prefix is copied once and never rewritten.
+	sorted []*Func
 }
 
-// NewSymbolTable builds a table over the given functions. Functions with
-// Addr==0 (unloaded modules) are indexed by name only until Rebuild is
-// called after loading.
-func NewSymbolTable(funcs []*Func) *SymbolTable {
-	st := &SymbolTable{byName: make(map[string]*Func, len(funcs))}
-	for _, f := range funcs {
-		if prev, dup := st.byName[f.Name]; dup {
-			panic(fmt.Sprintf("kernel: duplicate symbol %q (subsystems %s, %s)", f.Name, prev.Sub, f.Sub))
-		}
-		st.byName[f.Name] = f
-	}
-	st.Rebuild()
-	return st
-}
-
-// Rebuild re-sorts the address index; call after assigning module load
-// addresses.
+// Rebuild re-sorts the loaded module functions; call after assigning or
+// clearing module load addresses.
 func (st *SymbolTable) Rebuild() {
-	st.sorted = st.sorted[:0]
-	for _, f := range st.byName {
+	st.sorted = st.sorted[:len(st.base.sorted)]
+	for _, f := range st.modules {
 		if f.Addr != 0 {
 			st.sorted = append(st.sorted, f)
 		}
 	}
-	sort.Slice(st.sorted, func(i, j int) bool { return st.sorted[i].Addr < st.sorted[j].Addr })
+	slices.SortFunc(st.sorted[len(st.base.sorted):], func(a, b *Func) int { return cmp.Compare(a.Addr, b.Addr) })
 }
 
 // ByName returns the function with the given symbol name.
 func (st *SymbolTable) ByName(name string) (*Func, bool) {
-	f, ok := st.byName[name]
+	if f, ok := st.base.byName[name]; ok {
+		return f, true
+	}
+	f, ok := st.modules[name]
 	return f, ok
 }
 
 // MustAddr returns the address of a named symbol, panicking if missing —
 // for wiring that is a build-time invariant of the generated kernel.
 func (st *SymbolTable) MustAddr(name string) uint32 {
-	f, ok := st.byName[name]
+	f, ok := st.ByName(name)
 	if !ok {
 		panic(fmt.Sprintf("kernel: no symbol %q", name))
 	}
@@ -106,8 +103,9 @@ func (st *SymbolTable) Funcs() []*Func { return st.sorted }
 
 // All returns every function, loaded or not, in unspecified order.
 func (st *SymbolTable) All() []*Func {
-	out := make([]*Func, 0, len(st.byName))
-	for _, f := range st.byName {
+	out := make([]*Func, 0, len(st.base.sorted)+len(st.modules))
+	out = append(out, st.base.sorted...)
+	for _, f := range st.modules {
 		out = append(out, f)
 	}
 	return out
