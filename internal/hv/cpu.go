@@ -86,17 +86,19 @@ type fetchHint struct {
 	gpa  uint32
 }
 
-// fetchWindow returns the fetchBytes bytes at eip as a read-only view of
-// live host memory, or nil when the window crosses a page or any
-// translation fails; the caller then takes the copying path, which
-// reproduces its errors. Fetching never marks guest RAM dirty.
+// fetchWindow returns the bytes from eip to the end of its page as a
+// read-only view of live host memory, or nil when eip's fetchBytes window
+// crosses the page or any translation fails; the caller then takes the
+// copying path, which reproduces its errors. Fetching never marks guest
+// RAM dirty.
 //
 // An address space only grows, so a page translation once cached stays
 // right for as long as the hint pins its address space. The EPT is walked
 // on every fetch: view switches install other roots and copy-on-write
 // recovery retargets page tables in place, so its result is not cached.
 func (c *CPU) fetchWindow(eip uint32) []byte {
-	if eip&(mem.PageSize-1) > mem.PageSize-fetchBytes || c.as == nil {
+	off := eip & (mem.PageSize - 1)
+	if off > mem.PageSize-fetchBytes || c.as == nil {
 		return nil
 	}
 	page := mem.PageAlignDown(eip)
@@ -108,7 +110,7 @@ func (c *CPU) fetchWindow(eip uint32) []byte {
 		}
 		*h = fetchHint{as: c.as, page: page, gpa: gpa}
 	}
-	win, err := c.host.ReadSlice(c.EPT.Translate(h.gpa|eip&(mem.PageSize-1)), fetchBytes)
+	win, err := c.host.ReadSlice(c.EPT.Translate(h.gpa|off), int(mem.PageSize-off))
 	if err != nil {
 		return nil
 	}

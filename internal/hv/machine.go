@@ -77,6 +77,7 @@ type Machine struct {
 	Cost CostConfig
 
 	cycles    uint64
+	insts     uint64
 	trapAddrs map[uint32]bool
 	handler   ExitHandler
 	listeners []BlockListener
@@ -110,6 +111,9 @@ func NewMachine(host *mem.Host, os GuestOS, ncpus int) *Machine {
 
 // Cycles returns the simulated cycle counter.
 func (m *Machine) Cycles() uint64 { return m.cycles }
+
+// Instructions returns how many guest instructions have executed.
+func (m *Machine) Instructions() uint64 { return m.insts }
 
 // Charge adds simulated cycles (hypervisor handler work, bulk user-space
 // computation).
@@ -180,9 +184,20 @@ func (m *Machine) runBlock(cpu *CPU) error {
 	}
 	blockStart := cpu.EIP
 	for {
-		in, err := m.fetch(cpu, cpu.EIP)
+		in, live, err := m.fetch(cpu, cpu.EIP)
 		if err != nil {
 			return fmt.Errorf("fetch at %#x: %w", cpu.EIP, err)
+		}
+		if (in.Op == isa.OpNopL || in.Op == isa.OpNop) && live != nil {
+			// Padding runs as one step. A pad instruction costs its cycle
+			// and does nothing else, so the run covers every one that
+			// starts where fetch would decode in place; the page's last
+			// fetchBytes-1 bytes keep the copying fetch and its faults.
+			n, size := isa.PadRun(live, len(live)-fetchBytes+1)
+			m.cycles += uint64(n)
+			m.insts += uint64(n)
+			cpu.EIP += uint32(size)
+			continue
 		}
 		if in.Op == isa.OpUD2 {
 			m.emitBlock(cpu, blockStart, cpu.EIP+in.Len)
@@ -204,6 +219,7 @@ func (m *Machine) runBlock(cpu *CPU) error {
 			return fmt.Errorf("%w: undecodable byte at %#x", ErrMachineFault, cpu.EIP)
 		}
 		m.cycles++
+		m.insts++
 		done, err := m.exec(cpu, in)
 		if err != nil {
 			return fmt.Errorf("exec %s at %#x: %w", in, cpu.EIP, err)
@@ -232,10 +248,11 @@ func (m *Machine) emitBlock(cpu *CPU, start, endOverride uint32) {
 }
 
 // fetch decodes the instruction at eip as cpu sees it. A window inside one
-// page is decoded in place; one that crosses a page is copied.
-func (m *Machine) fetch(cpu *CPU, eip uint32) (isa.Inst, error) {
-	if win := cpu.fetchWindow(eip); win != nil {
-		return isa.Decode(win), nil
+// page is decoded in place, and live is then the rest of that page; one
+// that crosses a page is copied, and live is nil.
+func (m *Machine) fetch(cpu *CPU, eip uint32) (in isa.Inst, live []byte, err error) {
+	if live = cpu.fetchWindow(eip); live != nil {
+		return isa.Decode(live), live, nil
 	}
 	acc := cpu.Mem()
 	buf := m.fetchBuf[:]
@@ -244,11 +261,11 @@ func (m *Machine) fetch(cpu *CPU, eip uint32) (isa.Inst, error) {
 		// retry with a minimal window.
 		short := m.fetchBuf[:2]
 		if err2 := acc.Read(eip, short); err2 != nil {
-			return isa.Inst{}, err
+			return isa.Inst{}, nil, err
 		}
 		buf = short
 	}
-	return isa.Decode(buf), nil
+	return isa.Decode(buf), nil, nil
 }
 
 // exec executes one decoded instruction. It returns done=true when the

@@ -283,6 +283,27 @@ func Decode(code []byte) Inst {
 	}
 }
 
+// PadRun counts the run of padding instructions (the OpNopL and OpNop that
+// Pad emits) at the start of code, taking only instructions that begin
+// before offset limit. It returns how many there are and their total
+// length, exactly what repeated Decode calls would step through, so an
+// interpreter may execute the whole run as one step.
+func PadRun(code []byte, limit int) (n, size int) {
+	limit = min(limit, len(code))
+	for size < limit {
+		switch {
+		case code[size] == ByteNop:
+			size++
+		case code[size] == Byte0F && len(code)-size >= 7 && code[size+1] == ByteNopLSec:
+			size += 7
+		default:
+			return n, size
+		}
+		n++
+	}
+	return n, size
+}
+
 func le32(b []byte) uint32 {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }

@@ -281,3 +281,57 @@ func TestInstStringCoverage(t *testing.T) {
 		}
 	}
 }
+
+// decodeRun steps Decode over the pad instructions at the start of code
+// that begin before limit: the reference PadRun must reproduce.
+func decodeRun(code []byte, limit int) (n, size int) {
+	for size < limit && size < len(code) {
+		in := Decode(code[size:])
+		if in.Op != OpNop && in.Op != OpNopL {
+			break
+		}
+		n++
+		size += int(in.Len)
+	}
+	return n, size
+}
+
+func TestPadRunCountsPadding(t *testing.T) {
+	var a Asm
+	a.Prologue().Pad(40).Halt()
+	body := a.Bytes()
+	// 37 pad bytes: five NOPLs and two NOPs.
+	if n, size := PadRun(body[3:], len(body)); n != 7 || size != 37 {
+		t.Fatalf("PadRun = %d, %d; want 7, 37", n, size)
+	}
+	if n, size := PadRun(body, len(body)); n != 0 || size != 0 {
+		t.Fatalf("PadRun at the prologue = %d, %d; want 0, 0", n, size)
+	}
+	// A NOPL may start at limit-1 and end past it; none starts at limit.
+	if n, size := PadRun(body[3:], 8); n != 2 || size != 14 {
+		t.Fatalf("PadRun limit 8 = %d, %d; want 2, 14", n, size)
+	}
+	// A NOPL cut short by the end of code is not padding.
+	if n, size := PadRun(body[3:12], 100); n != 1 || size != 7 {
+		t.Fatalf("PadRun of a cut run = %d, %d; want 1, 7", n, size)
+	}
+}
+
+// FuzzPadRun: PadRun agrees with repeated Decode on arbitrary bytes and
+// limits.
+func FuzzPadRun(f *testing.F) {
+	var a Asm
+	a.Pad(40)
+	f.Add(a.Bytes(), 40)
+	f.Add(append(a.Bytes(), 0x0F, 0x0B, 0x90), 100)
+	f.Add([]byte{0x90, 0x0F, 0x1F, 0, 0, 0}, 6)
+	f.Add([]byte{0x0B, 0x0F, 0x90}, 3)
+	f.Add([]byte{0x0F, 0x1F, 0x0F, 0x1F, 0, 0, 0, 0x90}, -1)
+	f.Fuzz(func(t *testing.T, code []byte, limit int) {
+		n, size := PadRun(code, limit)
+		wantN, wantSize := decodeRun(code, limit)
+		if n != wantN || size != wantSize {
+			t.Fatalf("PadRun(% x, %d) = %d, %d; Decode steps %d, %d", code, limit, n, size, wantN, wantSize)
+		}
+	})
+}

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"facechange/internal/isa"
@@ -175,6 +176,21 @@ func TestDefaultSlotTargetsAllResolvable(t *testing.T) {
 				t.Errorf("slot %d key %d target %q not in catalog", slot, key, name)
 			}
 		}
+	}
+}
+
+// TestSharedTablesMatchExported: the tables every guest resolves indirect
+// calls through equal what SyscallHandlers and DefaultSlotTargets return,
+// and those still return fresh maps a caller may change.
+func TestSharedTablesMatchExported(t *testing.T) {
+	handlers, slots := SyscallHandlers(), DefaultSlotTargets()
+	if !reflect.DeepEqual(handlers, syscallTable) || !reflect.DeepEqual(slots, slotTable) {
+		t.Fatal("shared tables differ from the exported ones")
+	}
+	delete(handlers, SysGetpid)
+	slots[SlotFileRead][uint32(FileExt4)] = "rootkit_read"
+	if syscallTable[SysGetpid] != "sys_getpid" || slotTable[SlotFileRead][uint32(FileExt4)] != "do_sync_read" {
+		t.Fatal("changing an exported table changed the shared one")
 	}
 }
 

@@ -95,9 +95,7 @@ type Kernel struct {
 	timerPeriod uint64
 	kbdPeriod   uint64
 
-	handlers map[SysNo]string
-	slots    map[Slot]map[uint32]string
-	hooks    map[uint64]uint32 // (slot,key) → target addr
+	hooks map[uint64]uint32 // (slot,key) → target addr
 
 	tasks         []*Task // all tasks ever created (history)
 	live          []*Task // non-dead tasks (scanned by ticks and wakes)
@@ -133,6 +131,14 @@ type Kernel struct {
 	Interrupts      uint64
 }
 
+// syscallTable and slotTable are SyscallHandlers and DefaultSlotTargets,
+// built once per process: every guest resolves indirect calls through
+// them, and none writes them (rootkit hooks live in Kernel.hooks).
+var (
+	syscallTable = SyscallHandlers()
+	slotTable    = DefaultSlotTargets()
+)
+
 // New compiles the guest's modules against the process's shared base
 // kernel, loads the image into a fresh machine and returns the kernel
 // runtime.
@@ -163,8 +169,6 @@ func boot(cfg Config, img *Image) (*Kernel, error) {
 		clock:       cfg.Clock,
 		timerPeriod: cfg.TimerPeriod,
 		kbdPeriod:   cfg.KbdPeriod,
-		handlers:    SyscallHandlers(),
-		slots:       DefaultSlotTargets(),
 		hooks:       make(map[uint64]uint32),
 		nextModGVA:  mem.ModuleGVA + mem.PageSize,
 		nextPID:     1,
@@ -694,13 +698,13 @@ func (k *Kernel) ResolveIndirect(c *hv.CPU, slot uint32) (uint32, error) {
 	}
 	var name string
 	if s == SlotSyscall {
-		h, ok := k.handlers[SysNo(key)]
+		h, ok := syscallTable[SysNo(key)]
 		if !ok {
 			return 0, fmt.Errorf("kernel: unimplemented system call %d", key)
 		}
 		name = h
 	} else {
-		names, ok := k.slots[s]
+		names, ok := slotTable[s]
 		if !ok {
 			return 0, fmt.Errorf("kernel: no table for slot %d", slot)
 		}
