@@ -53,7 +53,6 @@ func main() {
 		diffPath = flag.String("diff", "", "compare against a prior JSON report; exit 1 on percentile regression beyond -difftol")
 		diffTol  = flag.Float64("difftol", 0.10, "fractional slowdown tolerated by -diff (0.10 = +10%)")
 		out      = flag.String("out", "", "write the JSON report to this file")
-		noalloc  = flag.Bool("noalloc", false, "skip the hot-path allocation probes")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the replay to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile (after the replay) to this file")
 		verbose  = flag.Bool("v", false, "log progress")
@@ -107,7 +106,7 @@ func main() {
 
 	rep, err := load.Run(cfg)
 	if *cpuProf != "" {
-		// Stop before the alloc probes and diffing: the profile covers the
+		// Stop before the SLO checks and diffing: the profile covers the
 		// replay itself.
 		pprof.StopCPUProfile()
 	}
@@ -127,15 +126,6 @@ func main() {
 			os.Exit(2)
 		}
 		f.Close()
-	}
-
-	if !*noalloc {
-		allocs, err := load.MeasureAllocs()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		rep.Allocs = allocs
 	}
 
 	pass := rep.ApplySLOs(slos)

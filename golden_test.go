@@ -2,11 +2,14 @@ package facechange_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"testing"
 
 	"facechange"
 	"facechange/internal/apps"
 	"facechange/internal/core"
+	"facechange/internal/eval"
 	"facechange/internal/kview"
 	"facechange/internal/sim"
 )
@@ -128,5 +131,30 @@ func TestSimDigestPins(t *testing.T) {
 				t.Fatalf("digest %016x, want %016x", res.Digest, pin.digest)
 			}
 		})
+	}
+}
+
+// TestBaselinePin regenerates the charged-cost baseline and requires it to
+// equal the committed BENCH_baseline.json byte for byte, marshalled the
+// way `fcbench -baseline -out` writes it. Every figure in the file is a
+// charged cycle count or a cost-model constant, so any drift is a real
+// change in the cost of a hot path; rewrite the file with
+// `fcbench -baseline -out BENCH_baseline.json` and review its diff.
+func TestBaselinePin(t *testing.T) {
+	b, err := eval.MeasureBaseline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.MarshalIndent(b, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := append(data, '\n')
+	want, err := os.ReadFile("BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("BENCH_baseline.json is stale; regenerated baseline:\n%s", got)
 	}
 }

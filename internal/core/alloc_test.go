@@ -16,16 +16,26 @@ type allocRig struct {
 	k   *kernel.Kernel
 	rt  *Runtime
 	ctx uint32
+	// resume is the resume_userspace trap address when custom-view
+	// switches are deferred to it (SwitchAtResume), 0 when they commit at
+	// the context-switch trap.
+	resume uint32
 }
 
 // allocApps are the rig's two profiled apps, one single-function view each.
 var allocApps = [2]string{"appA", "appB"}
 
-func newAllocRig(t *testing.T, opts Options) *allocRig {
+// newAllocRig boots the rig; deferred keeps SwitchAtResume on, so every
+// pick takes the context-switch trap and then the resume trap that
+// commits the switch. Otherwise the switch commits at the first trap.
+func newAllocRig(t *testing.T, opts Options, deferred bool) *allocRig {
 	t.Helper()
-	opts.SwitchAtResume = false // commit at the context-switch trap
+	opts.SwitchAtResume = deferred
 	k, rt := runtimeMachine(t, nil, opts)
 	rig := &allocRig{k: k, rt: rt, ctx: k.Syms.MustAddr("context_switch")}
+	if deferred {
+		rig.resume = k.Syms.MustAddr("resume_userspace")
+	}
 	for i, app := range allocApps {
 		fn := []string{"sys_getpid", "sys_read"}[i]
 		f, ok := k.Syms.ByName(fn)
@@ -42,22 +52,26 @@ func newAllocRig(t *testing.T, opts Options) *allocRig {
 }
 
 // pick fabricates a scheduler pick of app i on vCPU 0 and fires the
-// context-switch trap; callers measure both, so the pins cover the
-// fabricator too.
+// context-switch trap, then the resume trap if the rig defers switches;
+// callers measure all of it, so the pins cover the fabricator too.
 func (rig *allocRig) pick(i int) error {
 	if err := rig.k.PickTask(0, 100+i, allocApps[i]); err != nil {
 		return err
 	}
 	cpu := rig.k.M.CPUs[0]
 	cpu.EIP = rig.ctx
+	if err := rig.rt.OnAddrTrap(rig.k.M, cpu); err != nil || rig.resume == 0 {
+		return err
+	}
+	cpu.EIP = rig.resume
 	return rig.rt.OnAddrTrap(rig.k.M, cpu)
 }
 
 // measureSwitchAllocs reports allocations per custom→custom view switch
 // with no telemetry emitter attached (the production default).
-func measureSwitchAllocs(t *testing.T, opts Options) float64 {
+func measureSwitchAllocs(t *testing.T, opts Options, deferred bool) float64 {
 	t.Helper()
-	rig := newAllocRig(t, opts)
+	rig := newAllocRig(t, opts, deferred)
 	var err error
 	// Warm up both directions: first-touch EPT mutations may allocate
 	// (map growth inside the hardware model); steady state must not.
@@ -67,6 +81,7 @@ func measureSwitchAllocs(t *testing.T, opts Options) float64 {
 	if err != nil {
 		t.Fatalf("warmup: %v", err)
 	}
+	before := rig.rt.ViewSwitches
 	n := 0
 	avg := testing.AllocsPerRun(100, func() {
 		if e := rig.pick(n % 2); e != nil {
@@ -77,7 +92,22 @@ func measureSwitchAllocs(t *testing.T, opts Options) float64 {
 	if err != nil {
 		t.Fatalf("switch: %v", err)
 	}
+	if got := rig.rt.ViewSwitches - before; got != uint64(n) {
+		t.Fatalf("%d picks committed %d switches — the pin measured a dead path", n, got)
+	}
+	if refs := rig.rt.ResumeTrapRefs(); refs != 0 {
+		t.Fatalf("resume trap left armed (%d refs) after the switches committed", refs)
+	}
 	return avg
+}
+
+// allocModes are the two switch implementations every pin table covers.
+var allocModes = []struct {
+	name string
+	opts Options
+}{
+	{"snapshot", FastOptions()},
+	{"legacy", DefaultOptions()},
 }
 
 // TestSnapshotSwitchZeroAllocs pins the snapshot switch path — trap entry,
@@ -86,7 +116,7 @@ func measureSwitchAllocs(t *testing.T, opts Options) float64 {
 // guest pays on every context switch; a regression here is a per-switch
 // GC tax on the whole machine.
 func TestSnapshotSwitchZeroAllocs(t *testing.T) {
-	if avg := measureSwitchAllocs(t, FastOptions()); avg != 0 {
+	if avg := measureSwitchAllocs(t, FastOptions(), false); avg != 0 {
 		t.Errorf("snapshot switch path allocates %.1f objects/switch, want 0", avg)
 	}
 }
@@ -95,15 +125,90 @@ func TestSnapshotSwitchZeroAllocs(t *testing.T) {
 // zero steady-state allocations per switch (PD slots and module PTE maps
 // are reused after warm-up).
 func TestLegacySwitchZeroAllocs(t *testing.T) {
-	if avg := measureSwitchAllocs(t, DefaultOptions()); avg != 0 {
+	if avg := measureSwitchAllocs(t, DefaultOptions(), false); avg != 0 {
 		t.Errorf("legacy switch path allocates %.1f objects/switch, want 0", avg)
+	}
+}
+
+// TestDeferredSwitchZeroAllocs pins the paper's default switch timing
+// at zero allocations per switch on both switch paths: the context-switch
+// trap arms the resume_userspace breakpoint and the resume trap disarms
+// it and commits the switch.
+func TestDeferredSwitchZeroAllocs(t *testing.T) {
+	for _, mode := range allocModes {
+		t.Run(mode.name, func(t *testing.T) {
+			if avg := measureSwitchAllocs(t, mode.opts, true); avg != 0 {
+				t.Errorf("deferred %s switch allocates %.1f objects/switch, want 0", mode.name, avg)
+			}
+		})
+	}
+}
+
+// TestRecoveryTrapAllocs pins a warm UD2 recovery trap — backtrace over
+// a planted frame chain, symbolize, whole-function fetch into pages the
+// view already owns, log append — at no more than one allocation: the
+// exact-size copy of the backtrace that the logged event retains.
+func TestRecoveryTrapAllocs(t *testing.T) {
+	for _, mode := range allocModes {
+		t.Run(mode.name, func(t *testing.T) {
+			rig := newAllocRig(t, mode.opts, false)
+			if err := rig.pick(0); err != nil {
+				t.Fatal(err)
+			}
+			getpid := rig.k.Syms.MustAddr("sys_getpid")
+			var targets []uint32
+			for _, f := range textFuncs(t, rig.k) {
+				if f.Name != "sys_getpid" && f.Name != "sys_read" && len(targets) < 16 {
+					targets = append(targets, f.Addr)
+				}
+			}
+			ebp, err := rig.k.PlantFrames(0, []uint32{getpid + 2, getpid + 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cpu := rig.k.M.CPUs[0]
+			trap := func(i int) error {
+				cpu.EIP, cpu.EBP = targets[i%len(targets)], ebp
+				handled, err := rig.rt.OnInvalidOpcode(rig.k.M, cpu)
+				if err == nil && !handled {
+					err = fmt.Errorf("trap at %#x not handled", cpu.EIP)
+				}
+				return err
+			}
+			// Warm: every target recovered once, so its pages are the
+			// view's own and the per-vCPU arena has grown.
+			for i := range targets {
+				if err := trap(i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rig.rt.ResetLog()
+			n := 0
+			avg := testing.AllocsPerRun(100, func() {
+				if e := trap(n); e != nil {
+					err = e
+				}
+				n++
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			log := rig.rt.Log()
+			if rig.rt.Recoveries != uint64(n) || len(log[len(log)-1].Backtrace) != 2 {
+				t.Fatalf("%d traps made %d recoveries (last backtrace %d frames), want one each with 2 frames — the pin measured another path",
+					n, rig.rt.Recoveries, len(log[len(log)-1].Backtrace))
+			}
+			if avg > 1 {
+				t.Errorf("warm %s recovery trap allocates %.1f objects/trap, want at most 1", mode.name, avg)
+			}
+		})
 	}
 }
 
 // TestElidedSwitchZeroAllocs pins the same-view elision path (trap that
 // decides not to switch) at zero allocations.
 func TestElidedSwitchZeroAllocs(t *testing.T) {
-	rig := newAllocRig(t, FastOptions())
+	rig := newAllocRig(t, FastOptions(), false)
 	var err error
 	if err = rig.pick(0); err != nil {
 		t.Fatal(err)
@@ -125,7 +230,7 @@ func TestElidedSwitchZeroAllocs(t *testing.T) {
 // rewrite did not break the instrumented path: with an emitter attached
 // the switch still emits, and detaching restores the zero-alloc path.
 func TestEmitterAttachedStillSwitches(t *testing.T) {
-	rig := newAllocRig(t, FastOptions())
+	rig := newAllocRig(t, FastOptions(), false)
 	var got []string
 	rig.rt.SetEmitter(emitFunc(func(view string) { got = append(got, view) }))
 	if err := rig.pick(0); err != nil {
@@ -153,7 +258,7 @@ func TestEmitterAttachedStillSwitches(t *testing.T) {
 // AND the Emit into the per-vCPU ring must stay allocation-free — the
 // instrumented machine pays no GC tax over the silent one.
 func TestEnabledTelemetrySwitchZeroAllocs(t *testing.T) {
-	rig := newAllocRig(t, FastOptions())
+	rig := newAllocRig(t, FastOptions(), false)
 	hub := telemetry.NewHub(telemetry.HubConfig{CPUs: 1, RingSize: 4096})
 	rig.rt.SetEmitter(hub)
 	var err error
@@ -184,7 +289,7 @@ func TestEnabledTelemetrySwitchZeroAllocs(t *testing.T) {
 // TestEnabledTelemetryElidedZeroAllocs pins the elided-switch event path
 // (same-view trap with a hub attached) at zero allocations.
 func TestEnabledTelemetryElidedZeroAllocs(t *testing.T) {
-	rig := newAllocRig(t, FastOptions())
+	rig := newAllocRig(t, FastOptions(), false)
 	hub := telemetry.NewHub(telemetry.HubConfig{CPUs: 1, RingSize: 4096})
 	rig.rt.SetEmitter(hub)
 	var err error

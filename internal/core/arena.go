@@ -1,5 +1,7 @@
 package core
 
+import "facechange/internal/mem"
+
 // recArena is one vCPU's recovery scratch: buffers the UD2 trap path
 // reuses across traps so a steady-state recovery allocates only what it
 // must retain (the logged event's backtrace copy). All access happens
@@ -20,6 +22,13 @@ type recArena struct {
 	// kernel text in the worst case). Without one the scan reads guest
 	// memory in place and regionBuf stays empty.
 	regionBuf []byte
+	// stack (behind faultStack while an injector is attached) is the
+	// backtrace's stack accessor, rebuilt in place at every trap; site
+	// receives each return site's first two bytes. Both are read through
+	// the mem.Access interface, so stack-local ones would escape.
+	stack      mem.Accessor
+	faultStack mem.FaultAccessor
+	site       [2]byte
 }
 
 // arenaBytes returns a length-n byte buffer backed by *buf, growing the

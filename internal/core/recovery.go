@@ -114,8 +114,14 @@ func (r *Runtime) backtrace(cpu *hv.CPU) ([]Frame, []uint32) {
 	// Stack reads can fail or return corrupt bytes under injection; the
 	// walk already treats every read defensively (break on error, validate
 	// each value), so a corrupted frame terminates or truncates the trace
-	// instead of wedging recovery.
-	acc := mem.WrapAccess(cpu.Mem(), mem.FaultStackRead, r.inj)
+	// instead of wedging recovery. The accessor lives in the arena:
+	// boxing a fresh one into mem.Access would allocate at every trap.
+	a.stack = cpu.Mem()
+	var acc mem.Access = &a.stack
+	if r.inj != nil {
+		a.faultStack = mem.FaultAccessor{Acc: acc, Op: mem.FaultStackRead, Inj: r.inj}
+		acc = &a.faultStack
+	}
 	ebp := cpu.EBP
 	for depth := 0; depth < 64; depth++ {
 		if ebp == 0 || ebp < mem.KernelBase {
@@ -135,8 +141,8 @@ func (r *Runtime) backtrace(cpu *hv.CPU) ([]Frame, []uint32) {
 		frames = append(frames, Frame{Addr: prevRIP, Sym: r.symbolize(cpu, prevRIP)})
 		// Inspect the return site's bytes as mapped *through the active
 		// view*: "0B 0F" cannot trap and must be recovered instantly.
-		var b [2]byte
-		if err := acc.Read(prevRIP, b[:]); err == nil {
+		b := a.site[:]
+		if err := acc.Read(prevRIP, b); err == nil {
 			if b[0] == isa.ByteOrAcc && b[1] == isa.Byte0F {
 				instant = append(instant, prevRIP)
 			}

@@ -57,7 +57,6 @@ type Baseline struct {
 	Switches    []SwitchBaseline   `json:"switches"`
 	Recovery    []RecoveryBaseline `json:"recovery"`
 	Symbolize   SymbolizeBaseline  `json:"symbolize"`
-	HotPath     *HotPathBaseline   `json:"hot_path,omitempty"`
 }
 
 // baselineRig is a runtime-phase machine with two single-function views
@@ -266,12 +265,6 @@ func MeasureBaseline() (*Baseline, error) {
 	}
 	b.Symbolize = sym
 
-	hp, err := MeasureHotPath()
-	if err != nil {
-		return nil, err
-	}
-	b.HotPath = hp
-
 	// Record the cost model the numbers were charged under, so a diff in
 	// the baseline can be told apart from a diff in the model.
 	rig, err := newBaselineRig(1, core.DefaultOptions())
@@ -303,13 +296,5 @@ func (b *Baseline) Format() string {
 	}
 	out += fmt.Sprintf("symbolize: cold module walk %d cycles, cached lookup %d cycles\n",
 		b.Symbolize.ColdWalkCycles, b.Symbolize.CachedLookupCycles)
-	if hp := b.HotPath; hp != nil {
-		out += fmt.Sprintf("telemetry: disabled %.1f ns/event, enabled %.1f ns/event\n",
-			hp.TelemetryDisabledNsPerEvent, hp.TelemetryEnabledNsPerEvent)
-		out += fmt.Sprintf("drain:     pop %.1f ns/event, batch %.1f ns/event (%.1fx)\n",
-			hp.DrainPopNsPerEvent, hp.DrainBatchNsPerEvent, hp.DrainSpeedup)
-		out += fmt.Sprintf("allocs:    enabled switch %.1f/op; storm %.0f ns/trap, %.1f allocs/trap\n",
-			hp.EnabledSwitchAllocsPerOp, hp.RecoveryStormNsPerTrap, hp.RecoveryStormAllocsPerTrap)
-	}
 	return out
 }

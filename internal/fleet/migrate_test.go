@@ -3,6 +3,7 @@
 package fleet_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"testing"
@@ -17,12 +18,41 @@ import (
 
 const waitFor = 10 * time.Second
 
+// pipeDialer joins nodes over in-memory pipes whose server side stalls
+// right after the HelloAck: a node that needs no chunks can finish its
+// sync inside the stall, so any session state the server sets up after
+// writing the HelloAck shows up as a race.
 func pipeDialer(srv *fleet.Server) func() (net.Conn, error) {
 	return func() (net.Conn, error) {
 		c, s := net.Pipe()
-		go srv.ServeConn(s)
+		go srv.ServeConn(&ackStallConn{Conn: s, stall: 10 * time.Millisecond})
 		return c, nil
 	}
+}
+
+// ackStallConn sleeps for stall once the session's first frame (the
+// HelloAck) has been written in full; a pipe write returns only after the
+// peer has read it.
+type ackStallConn struct {
+	net.Conn
+	stall   time.Duration
+	head    []byte // the first frame's 4-byte length prefix, as written
+	written int
+	done    bool
+}
+
+func (c *ackStallConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	if c.done {
+		return n, err
+	}
+	c.head = append(c.head, p[:min(n, 4-len(c.head))]...)
+	c.written += n
+	if len(c.head) == 4 && c.written >= 4+int(binary.BigEndian.Uint32(c.head)) {
+		c.done = true
+		time.Sleep(c.stall)
+	}
+	return n, err
 }
 
 // migrateMember is one runtime VM joined to the test fleet with a live
@@ -143,6 +173,26 @@ func TestServerMigrateEndToEnd(t *testing.T) {
 	}
 	if _, err := srv.Migrate(app.Name, "node-1", "no-such-node", time.Second); err == nil {
 		t.Error("migration to an unknown node accepted")
+	}
+}
+
+// TestMigrateRightAfterJoin: a node whose WaitDigest has returned is a
+// migration endpoint at once. node-1 joins through the store node-0
+// already filled, so its sync references every chunk locally and commits
+// inside the dialer's post-HelloAck stall — the server must have
+// registered the session before writing the HelloAck.
+func TestMigrateRightAfterJoin(t *testing.T) {
+	srv, app, members := migrateFleet(t, 2)
+	if !srv.HasNode("node-1") {
+		t.Fatal("node-1 reports its catalog synced but has no session on the server")
+	}
+	mr, err := srv.Migrate(app.Name, "node-1", "node-0", waitFor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitThawed(t, members[1], app.Name)
+	if mr.Src != "node-1" || members[1].vm.Runtime.ViewIndex(app.Name) != core.FullView {
+		t.Fatalf("source kept its view after the migration: %+v", mr)
 	}
 }
 

@@ -324,13 +324,10 @@ func (s *Server) ServeConn(conn net.Conn) {
 		s.logf("fleet: server: handshake: %v", err)
 		return
 	}
-	s.mu.Lock()
-	s.conns[c] = struct{}{}
-	s.mu.Unlock()
 	s.logf("fleet: server: node %q joined", c.nodeID)
 
 	// Close the missed-update window: a Publish that landed between the
-	// HelloAck's manifest snapshot and the registration above notified
+	// HelloAck's manifest snapshot and the registration notified
 	// only the conns registered at the time — not this one. If the
 	// catalog moved past what the handshake sent, the node must hear
 	// about it or it will idle on the stale manifest until the next
@@ -489,7 +486,8 @@ func (c *serverConn) notify(gen uint64) {
 // handshake expects Hello and answers HelloAck carrying the session
 // version and the full manifest (saving the common case a round trip).
 // A node advertising a newer version runs the session at ProtoVersion;
-// older versions are rejected.
+// older versions are rejected. An accepted session is registered with
+// the server; on error it is not.
 func (c *serverConn) handshake() error {
 	f, err := readFrame(c.conn)
 	if err != nil {
@@ -507,9 +505,24 @@ func (c *serverConn) handshake() error {
 		return errProto("node %q speaks protocol %d", nodeID, proto)
 	}
 	c.nodeID = nodeID
+	// Register before the HelloAck goes out, holding the write lock across
+	// both: a node that has its HelloAck (and so may already report its
+	// catalog synced) is visible to HasNode and Migrate, and no shard-map
+	// push, migrate frame or outcome can reach it ahead of the HelloAck.
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
 	m := c.srv.catalog.Manifest()
 	c.ackGen = m.Gen
-	return c.write(msgHelloAck, encodeHelloAck(c.srv.id, m))
+	c.srv.mu.Lock()
+	c.srv.conns[c] = struct{}{}
+	c.srv.mu.Unlock()
+	if err := writeFrame(c.conn, msgHelloAck, encodeHelloAck(c.srv.id, m)); err != nil {
+		c.srv.mu.Lock()
+		delete(c.srv.conns, c)
+		c.srv.mu.Unlock()
+		return err
+	}
+	return nil
 }
 
 // handleTelemetry processes one sequence-numbered node batch. The

@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -205,23 +204,9 @@ func TestPlaneMigrateCrossShard(t *testing.T) {
 		cfg.Store = store
 		cfg.Runtime = vm.Runtime
 		cfg.Migrate = agent
-		// A shard pushes its map only after it registers the session, so
-		// the first map is the barrier Plane.Migrate needs. WaitDigest is
-		// not: a node sharing a warm store can match the digest first.
-		registered := make(chan struct{})
-		var once sync.Once
-		cfg.OnShardMap = func(m fleet.ShardMap) {
-			h.OnShardMap(m)
-			once.Do(func() { close(registered) })
-		}
 		n := fleet.NewNode(cfg)
 		n.Start()
 		t.Cleanup(n.Close)
-		select {
-		case <-registered:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("node %q: no shard registered its session", id)
-		}
 		if err := n.WaitDigest(p.Digest(), 10*time.Second); err != nil {
 			t.Fatal(err)
 		}

@@ -310,22 +310,6 @@ func TestSLOGate(t *testing.T) {
 	}
 }
 
-func TestMeasureAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("boots four machines")
-	}
-	a, err := MeasureAllocs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.SnapshotSwitch != 0 {
-		t.Errorf("snapshot switch path allocates %.1f objects/op, want 0", a.SnapshotSwitch)
-	}
-	if a.LegacySwitch != 0 {
-		t.Errorf("legacy switch path allocates %.1f objects/op, want 0", a.LegacySwitch)
-	}
-}
-
 // TestRunSharedCore: the shared-core policy must build merged views,
 // convert re-switches into elisions, keep the replay deterministic, and
 // be digest-visible against the same trace without it.

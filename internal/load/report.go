@@ -83,14 +83,6 @@ type CounterReport struct {
 	EventsPerSecond     float64 `json:"events_per_second"`
 }
 
-// AllocReport records the hot-path allocation pins measured on this
-// machine alongside the charged-cycle numbers (satellite of the
-// zero-alloc guarantee; excluded from the report digest like wall time).
-type AllocReport struct {
-	SnapshotSwitch float64 `json:"snapshot_switch_allocs_per_op"`
-	LegacySwitch   float64 `json:"legacy_switch_allocs_per_op"`
-}
-
 // FleetReport describes the control-plane side of a fleet-mode run.
 type FleetReport struct {
 	Nodes         int      `json:"nodes"`
@@ -120,7 +112,6 @@ type Report struct {
 	Memory       MemoryReport             `json:"memory"`
 	Counters     CounterReport            `json:"counters"`
 	Telemetry    telemetry.HistogramStats `json:"telemetry"`
-	Allocs       *AllocReport             `json:"allocs,omitempty"`
 	Fleet        *FleetReport             `json:"fleet,omitempty"`
 	SLO          []SLOResult              `json:"slo,omitempty"`
 }
@@ -354,10 +345,6 @@ func (r *Report) Format() string {
 	fmt.Fprintf(&b, "memory: %d distinct pages, %d deduped (%.1f%%), %dB saved now, %dB saved cumulative\n",
 		r.Memory.DistinctPages, r.Memory.DedupedPages, r.Memory.DedupRatio*100,
 		r.Memory.BytesSaved, r.Memory.BytesSavedTotal)
-	if r.Allocs != nil {
-		fmt.Fprintf(&b, "allocs: snapshot switch %.1f/op, legacy switch %.1f/op\n",
-			r.Allocs.SnapshotSwitch, r.Allocs.LegacySwitch)
-	}
 	if r.Fleet != nil {
 		topo := ""
 		if r.Fleet.Shards > 1 {
