@@ -66,6 +66,13 @@ func shadowHPA(t testing.TB, v *LoadedView, gpaPage uint32) uint32 {
 	return hpa
 }
 
+// isShared reports whether v shadows gpaPage with a cache-shared page
+// (its private bit clear).
+func isShared(v *LoadedView, gpaPage uint32) bool {
+	i, ok := v.pageIndex(gpaPage)
+	return ok && !v.private.has(i)
+}
+
 // TestLoadViewSharesIdenticalPages: two views with identical content must
 // map every shadow page to the same host page — one UD2 page and one copy
 // of each loaded page, not a full per-view copy.
@@ -114,7 +121,7 @@ func TestRecoveryCopyOnWriteIsolatesViews(t *testing.T) {
 	if shadowHPA(t, v1, gpaPage) == sharedHPA {
 		t.Error("written page still shared (no copy-on-write)")
 	}
-	if v1.shared[gpaPage] {
+	if isShared(v1, gpaPage) {
 		t.Error("written page still marked shared")
 	}
 	if shadowHPA(t, v2, gpaPage) != sharedHPA {

@@ -163,6 +163,7 @@ type Runtime struct {
 	resumeAddr    uint32
 
 	views  []*LoadedView // index 0 is the full view (nil)
+	live   []int         // indices of the loaded views, ascending
 	byName map[string]int
 
 	// mergedIdx maps a shared-core member-set key (sorted base view

@@ -88,13 +88,13 @@ func TestImportPlacesDeltasPrivately(t *testing.T) {
 				for gpa, hpa := range pages {
 					data, isDelta := byGPA[gpa]
 					if !isDelta {
-						if !v.shared[gpa] || cached[hpa] == 0 {
-							t.Errorf("page %#x: shared %v, %d cache refs; want an interned page", gpa, v.shared[gpa], cached[hpa])
+						if !isShared(v, gpa) || cached[hpa] == 0 {
+							t.Errorf("page %#x: shared %v, %d cache refs; want an interned page", gpa, isShared(v, gpa), cached[hpa])
 						}
 						continue
 					}
-					if v.shared[gpa] || cached[hpa] != 0 {
-						t.Errorf("delta page %#x: shared %v, %d cache refs; want a private page", gpa, v.shared[gpa], cached[hpa])
+					if isShared(v, gpa) || cached[hpa] != 0 {
+						t.Errorf("delta page %#x: shared %v, %d cache refs; want a private page", gpa, isShared(v, gpa), cached[hpa])
 					}
 					page, err := rt.m.Host.Slice(hpa, mem.PageSize)
 					if err != nil {

@@ -6,21 +6,14 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"facechange/internal/mem"
 )
 
 // LoadedIndices returns the indices of all currently loaded views, in
 // ascending order.
-func (r *Runtime) LoadedIndices() []int {
-	var out []int
-	for i, v := range r.views {
-		if v != nil {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+func (r *Runtime) LoadedIndices() []int { return slices.Clone(r.live) }
 
 // LastView returns the deferred-switch target recorded for a vCPU.
 func (r *Runtime) LastView(cpuID int) int { return r.cpus[cpuID].last }
@@ -41,10 +34,13 @@ func (r *Runtime) Opts() Options { return r.opts }
 // SharedPageSet returns a copy of the view's cache-shared page set (GPA
 // pages whose shadow HPA is an immutable cache page).
 func (v *LoadedView) SharedPageSet() map[uint32]bool {
-	out := make(map[uint32]bool, len(v.shared))
-	for gpa := range v.shared {
-		out[gpa] = true
-	}
+	out := make(map[uint32]bool)
+	v.Pages(func(gpa, _ uint32) bool {
+		if !v.isPrivate(gpa) {
+			out[gpa] = true
+		}
+		return true
+	})
 	return out
 }
 

@@ -231,7 +231,7 @@ func (r *Runtime) ExportViewState(f *FrozenView) (*ViewState, error) {
 	}
 	var err error
 	v.Pages(func(gpa, hpa uint32) bool {
-		if v.shared[gpa] {
+		if !v.isPrivate(gpa) {
 			return true // interned catalog content; never travels
 		}
 		var data []byte

@@ -174,7 +174,7 @@ func TestExportImportMovesCOWAndRecovered(t *testing.T) {
 		t.Error("recovered-span set did not survive the move")
 	}
 	// The delta page privatized on import: not marked catalog-shared.
-	if v2.shared[gpaPage] {
+	if isShared(v2, gpaPage) {
 		t.Error("COW delta page marked shared on target")
 	}
 

@@ -164,7 +164,7 @@ func TestRecoveryCOWRemapsEPT(t *testing.T) {
 					fn = moduleFunc(t, rig.k, "af_packet")
 				}
 				page := mem.PageAlignDown(gpaFor(fn.Addr))
-				if !v.shared[page] {
+				if !isShared(v, page) {
 					t.Fatalf("precondition: page %#x is not cache-shared", page)
 				}
 				// Trap the excluded function on cpu0: recovery COWs the page.
@@ -173,7 +173,7 @@ func TestRecoveryCOWRemapsEPT(t *testing.T) {
 				if handled, err := rig.rt.OnInvalidOpcode(rig.k.M, cpu0); err != nil || !handled {
 					t.Fatalf("OnInvalidOpcode: handled=%v err=%v", handled, err)
 				}
-				if v.shared[page] {
+				if isShared(v, page) {
 					t.Fatalf("page %#x still cache-shared after recovery", page)
 				}
 

@@ -36,9 +36,10 @@ type LoadedView struct {
 	// mods lists the shadowed module-area GPA pages in ascending order
 	// (the scattered pages switched PTE-by-PTE).
 	mods []uint32
-	// shared marks GPA pages whose HPA is a cache-shared page that must
-	// not be written in place; every other page is private to the view.
-	shared map[uint32]bool
+	// private marks, in Pages order, the pages the view owns outright: its
+	// copy-on-write copies and a migration import's placed deltas. Every
+	// other page is a cache-shared page that must not be written in place.
+	private pageBits
 
 	// LoadedBytes counts code bytes copied into the view at build time.
 	LoadedBytes uint64
@@ -76,6 +77,43 @@ func (v *LoadedView) Pages(yield func(gpaPage, hpa uint32) bool) {
 			return
 		}
 	}
+}
+
+// pageBits is a bitset over a view's pages, indexed in Pages order.
+type pageBits []uint64
+
+func newPageBits(n int) pageBits  { return make(pageBits, (n+63)/64) }
+func (b pageBits) has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
+func (b pageBits) set(i int)      { b[i/64] |= 1 << (i % 64) }
+
+// pageIndex returns gpaPage's position in Pages order, if the view
+// shadows it: a text page's index counts from the first text page, and
+// the module pages follow the ceil(textSize/PageSize) text pages.
+func (v *LoadedView) pageIndex(gpaPage uint32) (int, bool) {
+	if v.isText(gpaPage) {
+		return int((gpaPage - mem.KernelTextGPA) / mem.PageSize), true
+	}
+	i, ok := slices.BinarySearch(v.mods, gpaPage)
+	ntext := int((v.textEnd - mem.KernelTextGPA + mem.PageSize - 1) / mem.PageSize)
+	return ntext + i, ok
+}
+
+// isPrivate reports whether the view owns gpaPage outright (a COW copy or
+// a placed delta) rather than holding a cache reference to it.
+func (v *LoadedView) isPrivate(gpaPage uint32) bool {
+	i, ok := v.pageIndex(gpaPage)
+	return ok && v.private.has(i)
+}
+
+// sharedHPA returns the cache page backing gpaPage in v, or 0 when v is
+// nil, does not shadow the page or owns it privately: the hint a load
+// passes to PageCache.InternHint.
+func (v *LoadedView) sharedHPA(gpaPage uint32) uint32 {
+	if v == nil || v.isPrivate(gpaPage) {
+		return 0
+	}
+	hpa, _ := v.pageFor(gpaPage)
+	return hpa
 }
 
 var ud2Page = buildUD2Page()
@@ -196,7 +234,6 @@ func (r *Runtime) loadView(cfg *kview.View, deltas []PageDelta) (int, int, error
 		Cfg:     cfg,
 		root:    mem.NewRoot(),
 		textEnd: mem.KernelTextGPA + r.textSize,
-		shared:  make(map[uint32]bool),
 	}
 	stage := &r.stage
 	stage.reset(deltas)
@@ -252,16 +289,27 @@ func (r *Runtime) loadView(cfg *kview.View, deltas []PageDelta) (int, int, error
 			}
 		}
 	}
+	// The module pages were staged after the text pages.
+	v.mods = slices.Clone(stage.order[ntext:])
+	slices.Sort(v.mods)
+	v.private = newPageBits(len(stage.order))
 	// 4. Intern every staged page: identical contents share one host page.
 	// A page with a delta is the exception: it gets a private page holding
 	// the delta's bytes, which is what staging and interning the page and
 	// then copying it on write would leave, without the staging, the hash,
 	// the intern and the copies: the delta is written once.
+	//
+	// Each intern is hinted with the page most likely to hold the same
+	// bytes already (see hintView), and every pure-UD2 page after the
+	// first with the UD2 page this load already holds. A good hint skips
+	// the content hash; any hint interns the same page (InternHint).
 	unwind := func(n int) {
 		for _, gpa := range stage.order[:n] {
 			r.releasePage(v, gpa, v.root.Translate(gpa))
 		}
 	}
+	ref := r.hintView(cfg.App)
+	var ud2 uint32 // this load's UD2 filler page, once interned
 	placed := 0
 	for n, gpa := range stage.order {
 		if i, ok := slices.BinarySearchFunc(deltas, gpa, cmpDeltaGPA); ok {
@@ -270,29 +318,35 @@ func (r *Runtime) loadView(cfg *kview.View, deltas []PageDelta) (int, int, error
 				unwind(n)
 				return 0, 0, fmt.Errorf("core: place delta %#x: %w", gpa, err)
 			}
+			pi, _ := v.pageIndex(gpa)
+			v.private.set(pi)
 			v.root.SetPTE(gpa, hpa)
 			placed++
 			continue
 		}
-		content := stage.buf[gpa]
-		if content == nil {
+		content, hint := stage.buf[gpa], ud2
+		if content != nil || hint == 0 {
+			hint = ref.sharedHPA(gpa)
+		}
+		pureUD2 := content == nil
+		if pureUD2 {
 			content = ud2Page
 		}
-		hpa, err := r.cache.Intern(content)
+		hpa, err := r.cache.InternHint(hint, content)
 		if err != nil {
 			// Partial failure (cache pressure, injected intern fault) must
 			// not leak the references already interned for this view.
 			unwind(n)
 			return 0, 0, fmt.Errorf("core: intern shadow page %#x: %w", gpa, err)
 		}
-		v.shared[gpa] = true
+		if pureUD2 {
+			ud2 = hpa
+		}
 		v.root.SetPTE(gpa, hpa)
 	}
-	// The module pages were staged after the text pages.
-	v.mods = slices.Clone(stage.order[ntext:])
-	slices.Sort(v.mods)
 	idx := len(r.views)
 	r.views = append(r.views, v)
+	r.live = append(r.live, idx)
 	if cfg.App != "" {
 		r.byName[cfg.App] = idx
 	}
@@ -310,6 +364,20 @@ func (r *Runtime) loadView(cfg *kview.View, deltas []PageDelta) (int, int, error
 		r.emit.Emit(telemetry.Event{Kind: telemetry.KindViewLoad, Cycle: cycle, View: v.Name, N: uint64(idx)})
 	}
 	return idx, placed, nil
+}
+
+// hintView returns the live view whose pages most likely hold a new load
+// of app's content: during a hot-plug the app's current view, which
+// byName still names while its next generation loads; otherwise the
+// newest live view (nil if none).
+func (r *Runtime) hintView(app string) *LoadedView {
+	if idx, ok := r.byName[app]; ok {
+		return r.viewByIndex(idx)
+	}
+	if n := len(r.live); n > 0 {
+		return r.views[r.live[n-1]]
+	}
+	return nil
 }
 
 // placeDelta gives a migrated page a private host page holding data, one
@@ -410,7 +478,7 @@ func (r *Runtime) readShadow(v *LoadedView, gva uint32, buf []byte) error {
 // only pages the failed write already privatized, so it cannot fail.
 func (r *Runtime) restoreShadow(v *LoadedView, gva uint32, buf []byte) {
 	_ = v.eachShadowPage(gva, len(buf), func(hpa uint32, off, ln int, gpaPage uint32) error {
-		if v.shared[gpaPage] {
+		if !v.isPrivate(gpaPage) {
 			return nil
 		}
 		return r.m.Host.Write(hpa, buf[off:off+ln])
@@ -449,10 +517,8 @@ func (v *LoadedView) isText(gpaPage uint32) bool {
 
 // pageFor looks up the shadow page backing gpaPage.
 func (v *LoadedView) pageFor(gpaPage uint32) (hpa uint32, ok bool) {
-	if !v.isText(gpaPage) {
-		if _, ok := slices.BinarySearch(v.mods, gpaPage); !ok {
-			return 0, false
-		}
+	if _, ok := v.pageIndex(gpaPage); !ok {
+		return 0, false
 	}
 	return v.root.Translate(gpaPage), true
 }
@@ -464,24 +530,25 @@ func (v *LoadedView) pageFor(gpaPage uint32) (hpa uint32, ok bool) {
 func (r *Runtime) viewWrite(v *LoadedView, gva uint32, data []byte) error {
 	for len(data) > 0 {
 		gpaPage := mem.PageAlignDown(gpaFor(gva))
-		hpa, ok := v.pageFor(gpaPage)
+		i, ok := v.pageIndex(gpaPage)
 		if !ok {
 			return fmt.Errorf("core: view %q has no shadow page for %#x", v.Name, gva)
 		}
-		if v.shared[gpaPage] {
-			private, err := r.cache.Privatize(hpa)
+		hpa := v.root.Translate(gpaPage)
+		if !v.private.has(i) {
+			cow, err := r.cache.Privatize(hpa)
 			if err != nil {
 				return fmt.Errorf("core: cow %#x: %w", gva, err)
 			}
-			delete(v.shared, gpaPage)
+			v.private.set(i)
 			// The root's PTs are live wherever the view is installed by
 			// reference: the whole root under snapshot switching, the text
 			// PD slots under PD-granular switching.
-			v.root.SetPTE(gpaPage, private)
+			v.root.SetPTE(gpaPage, cow)
 			if !r.opts.SnapshotSwitch {
-				r.remapLive(v, gpaPage, private)
+				r.remapLive(v, gpaPage, cow)
 			}
-			hpa = private
+			hpa = cow
 		}
 		off := gva & (mem.PageSize - 1)
 		n := int(mem.PageSize - off)
@@ -666,6 +733,9 @@ func (r *Runtime) unloadView(idx int) error {
 		}
 	}
 	r.views[idx] = nil
+	if i, ok := slices.BinarySearch(r.live, idx); ok {
+		r.live = slices.Delete(r.live, i, i+1)
+	}
 	if r.emit != nil {
 		r.emit.Emit(telemetry.Event{Kind: telemetry.KindViewUnload, Cycle: r.m.Cycles(), View: v.Name, N: uint64(idx)})
 	}
@@ -686,9 +756,9 @@ func (r *Runtime) releasePages(v *LoadedView) {
 // page is freed outright. Used by UnloadView and by LoadView's
 // partial-failure unwind.
 func (r *Runtime) releasePage(v *LoadedView, gpaPage, hpa uint32) {
-	if v.shared[gpaPage] {
-		r.cache.Release(hpa)
-	} else {
+	if v.isPrivate(gpaPage) {
 		r.m.Host.FreePage(hpa)
+	} else {
+		r.cache.Release(hpa)
 	}
 }

@@ -52,6 +52,14 @@ func (l RangeList) Insert(start, end uint32) RangeList {
 	return l
 }
 
+// covers reports whether one range of the list contains all of
+// [start, end): the first range ending at or after end is the only
+// candidate.
+func (l RangeList) covers(start, end uint32) bool {
+	i := sort.Search(len(l), func(i int) bool { return l[i].End >= end })
+	return i < len(l) && l[i].Start <= start
+}
+
 // Contains reports whether addr lies in some range.
 func (l RangeList) Contains(addr uint32) bool {
 	i := sort.Search(len(l), func(i int) bool { return l[i].End > addr })

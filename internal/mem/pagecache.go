@@ -68,8 +68,8 @@ type CacheStats struct {
 	// it keeps shared: a shipped delta goes straight into a private page
 	// and counts neither here nor as a hit or miss.
 	BytesSavedTotal uint64
-	// Hits and Misses count Intern calls that reused respectively created
-	// a page. Privatized counts copy-on-write detachments.
+	// Hits and Misses count Intern and InternHint calls that reused
+	// respectively created a page. Privatized counts copy-on-write detachments.
 	Hits, Misses, Privatized uint64
 }
 
@@ -102,6 +102,38 @@ func (c *PageCache) Intern(content []byte) (uint32, error) {
 		return 0, fmt.Errorf("mem: intern %d bytes, want one page", len(content))
 	}
 	return c.internHashed(maphash.Bytes(c.seed, content), content)
+}
+
+// InternHint is Intern for a caller that can name the page most likely to
+// hold content already: hint, say the page another view maps at the same
+// GPA. If hint is a live cached page whose bytes equal content, it takes a
+// reference to hint without hashing content; otherwise it interns content
+// as Intern does. No two live pages hold equal bytes, so a hinted hit
+// returns the page, and counts the hit, that Intern would have: the
+// result and every counter are the same whatever hint names.
+func (c *PageCache) InternHint(hint uint32, content []byte) (uint32, error) {
+	if len(content) == PageSize && c.refHint(hint, content) {
+		return hint, nil
+	}
+	return c.Intern(content)
+}
+
+// refHint takes a reference to hint and counts a hit if hint is a live
+// cached page holding content.
+func (c *PageCache) refHint(hint uint32, content []byte) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[hint]
+	if !ok {
+		return false
+	}
+	page, err := c.host.ReadSlice(hint, PageSize)
+	if err != nil || !bytes.Equal(page, content) {
+		return false
+	}
+	e.refs++
+	c.hits++
+	return true
 }
 
 // internHashed is Intern with the content's hash h already computed. A

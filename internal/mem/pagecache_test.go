@@ -2,6 +2,10 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -234,5 +238,132 @@ func TestPageCacheConcurrentIntern(t *testing.T) {
 	wg.Wait()
 	if st := c.Stats(); st.DistinctPages > 4 {
 		t.Errorf("%d distinct pages for 4 distinct contents", st.DistinctPages)
+	}
+}
+
+// TestInternHintMatchesIntern runs one seeded random sequence of interns,
+// releases, privatizations and private-page frees on two caches: one
+// interns with Intern only, the other with InternHint and a hint that is
+// good, stale (a live page holding other bytes), freed, freed and reused
+// for other content, a private page, or HPA 0. After every operation both
+// caches must agree on the returned HPA, Snapshot, HitMiss and Stats.
+func TestInternHintMatchesIntern(t *testing.T) {
+	// Contents 0..5 differ in their first byte; 6 and 7 equal 0 and 1
+	// except in the last byte, so a hint compare fails only at the end.
+	var contents [][]byte
+	for b := 0; b < 6; b++ {
+		contents = append(contents, pageFilled(byte(0x10+b)))
+	}
+	for b := 0; b < 2; b++ {
+		p := pageFilled(byte(0x10 + b))
+		p[PageSize-1] ^= 0xFF
+		contents = append(contents, p)
+	}
+	for _, seed := range []int64{1, 2, 3, 4} {
+		rng := rand.New(rand.NewSource(seed))
+		plain, hinted := NewPageCache(NewArenaHost()), NewPageCache(NewArenaHost())
+		var (
+			held     []uint32            // cache references held (same HPAs in both)
+			private  []uint32            // live private pages (Privatize results)
+			seen     []uint32            // every HPA either cache ever returned
+			freed    = map[uint32]bool{} // HPAs a release or free returned to the host
+			kinds    = map[string]int{}
+			checkAll = func(op string) {
+				t.Helper()
+				if a, b := plain.Snapshot(), hinted.Snapshot(); !maps.Equal(a, b) {
+					t.Fatalf("seed %d %s: snapshots differ: %v vs %v", seed, op, a, b)
+				}
+				h1, m1 := plain.HitMiss()
+				h2, m2 := hinted.HitMiss()
+				if h1 != h2 || m1 != m2 {
+					t.Fatalf("seed %d %s: hit/miss %d/%d vs %d/%d", seed, op, h1, m1, h2, m2)
+				}
+				if a, b := plain.Stats(), hinted.Stats(); a != b {
+					t.Fatalf("seed %d %s: stats %+v vs %+v", seed, op, a, b)
+				}
+			}
+		)
+		// classify names what a hint points at in the hinted cache.
+		classify := func(hint uint32, content []byte) string {
+			if hint == 0 {
+				return "zero"
+			}
+			if slices.Contains(private, hint) {
+				return "private"
+			}
+			if hinted.Refs(hint) == 0 {
+				return "freed"
+			}
+			page, _ := hinted.host.ReadSlice(hint, PageSize)
+			switch {
+			case bytes.Equal(page, content):
+				return "good"
+			case freed[hint]:
+				return "reused"
+			default:
+				return "stale"
+			}
+		}
+		for op := 0; op < 3000; op++ {
+			switch r := rng.Intn(10); {
+			case r < 5 || len(held) == 0: // intern
+				content := contents[rng.Intn(len(contents))]
+				var hint uint32
+				switch {
+				case rng.Intn(4) == 0 && len(private) > 0:
+					hint = private[rng.Intn(len(private))]
+				case rng.Intn(4) != 0 && len(seen) > 0:
+					hint = seen[rng.Intn(len(seen))]
+				}
+				kinds[classify(hint, content)]++
+				a, errA := plain.Intern(content)
+				b, errB := hinted.InternHint(hint, content)
+				if errA != nil || errB != nil || a != b {
+					t.Fatalf("seed %d op %d: Intern = %#x, %v; InternHint(%#x) = %#x, %v", seed, op, a, errA, hint, b, errB)
+				}
+				held = append(held, a)
+				seen = append(seen, a)
+			case r < 8: // release a held reference
+				i := rng.Intn(len(held))
+				hpa := held[i]
+				held = slices.Delete(held, i, i+1)
+				plain.Release(hpa)
+				hinted.Release(hpa)
+				if hinted.Refs(hpa) == 0 {
+					freed[hpa] = true
+				}
+			case r < 9: // privatize a held reference
+				i := rng.Intn(len(held))
+				hpa := held[i]
+				held = slices.Delete(held, i, i+1)
+				a, errA := plain.Privatize(hpa)
+				b, errB := hinted.Privatize(hpa)
+				if errA != nil || errB != nil || a != b {
+					t.Fatalf("seed %d op %d: Privatize(%#x) = %#x, %v vs %#x, %v", seed, op, hpa, a, errA, b, errB)
+				}
+				if hinted.Refs(hpa) == 0 {
+					freed[hpa] = true
+				}
+				private = append(private, a)
+				seen = append(seen, a)
+			default: // free a private page
+				if len(private) == 0 {
+					continue
+				}
+				i := rng.Intn(len(private))
+				hpa := private[i]
+				private = slices.Delete(private, i, i+1)
+				plain.host.FreePage(hpa)
+				hinted.host.FreePage(hpa)
+				freed[hpa] = true
+			}
+			checkAll(fmt.Sprintf("op %d", op))
+		}
+		for _, k := range []string{"good", "stale", "freed", "reused", "private", "zero"} {
+			if kinds[k] == 0 {
+				t.Errorf("seed %d: no %s hint in the sequence", seed, k)
+			}
+		}
+		t.Logf("seed %d hints: %v", seed, kinds)
 	}
 }
