@@ -76,8 +76,8 @@ func Profile(app apps.App, cfg ProfileConfig) (*kview.View, error) {
 		return nil, fmt.Errorf("facechange: profile %s: %w", app.Name, err)
 	}
 	// The session owns its guest outright, and the view it returns holds
-	// only address ranges, so the guest's RAM goes back to the pool for
-	// the next session.
+	// only address ranges, so the guest's RAM goes back to the free list
+	// for the next session.
 	defer k.Host.Release()
 	for _, m := range app.Modules {
 		if _, err := k.LoadModule(m); err != nil {

@@ -115,12 +115,6 @@ func (a *Asm) Work() *Asm {
 	return a
 }
 
-// Ret emits a bare ret (no leave), for leaf code without a frame.
-func (a *Asm) Ret() *Asm {
-	a.buf = append(a.buf, ByteRet)
-	return a
-}
-
 // Pad appends wide NOPs (and a trailing short NOP run) until the body is
 // exactly n bytes long. It panics if the body is already longer than n:
 // catalog sizes are authored data, so overflow is a programming error.

@@ -390,20 +390,3 @@ func (img *Image) LinkModule(name string, base uint32) ([]byte, error) {
 	img.Symbols.Rebuild()
 	return code, nil
 }
-
-// UnlinkModule clears a module's load addresses (for unload support).
-func (img *Image) UnlinkModule(name string) error {
-	mi, ok := img.Modules[name]
-	if !ok {
-		return fmt.Errorf("kernel: no module %q", name)
-	}
-	for _, g := range mi.gens {
-		for bodyOff := range g.conds {
-			delete(img.modConds, g.fn.Addr+uint32(bodyOff))
-		}
-		g.fn.Addr = 0
-	}
-	mi.Base = 0
-	img.Symbols.Rebuild()
-	return nil
-}

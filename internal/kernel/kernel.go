@@ -444,11 +444,6 @@ func (k *Kernel) HookSlot(slot Slot, key uint32, symbol string) error {
 	return nil
 }
 
-// UnhookSlot restores the default entry.
-func (k *Kernel) UnhookSlot(slot Slot, key uint32) {
-	delete(k.hooks, hookID(slot, key))
-}
-
 // ---- hv.GuestOS implementation ----
 
 func (k *Kernel) cpu(c *hv.CPU) *cpuState { return k.cpus[c.ID] }

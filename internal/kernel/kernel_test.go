@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -74,7 +75,7 @@ func TestImageHasPaperChains(t *testing.T) {
 	}
 }
 
-func TestModuleLinkUnlink(t *testing.T) {
+func TestModuleLink(t *testing.T) {
 	img, err := BuildImage(BaseCatalog(), StandardModules())
 	if err != nil {
 		t.Fatalf("BuildImage: %v", err)
@@ -95,12 +96,6 @@ func TestModuleLinkUnlink(t *testing.T) {
 	}
 	if _, err := img.LinkModule("af_packet", mem.ModuleGVA); err == nil {
 		t.Error("double link should fail")
-	}
-	if err := img.UnlinkModule("af_packet"); err != nil {
-		t.Fatalf("UnlinkModule: %v", err)
-	}
-	if f.Addr != 0 {
-		t.Errorf("unlink left address %#x", f.Addr)
 	}
 }
 
@@ -405,7 +400,6 @@ func TestHookSlotRedirectsDispatch(t *testing.T) {
 	if !sawHook {
 		t.Error("hooked syscall-table entry never dispatched to rootkit code")
 	}
-	k.UnhookSlot(SlotSyscall, uint32(SysGetpid))
 }
 
 func TestMultiCPURoundRobin(t *testing.T) {
@@ -462,9 +456,11 @@ func TestKvmclockOnlyUnderKVM(t *testing.T) {
 
 // TestRecycledGuestRAMMatchesFresh: a guest booted on RAM that an earlier
 // guest overwrote byte by byte and released reads, all 40 MB of it,
-// exactly what a guest booted on fresh RAM reads. The guest model never
-// reads RAM it did not write, so no run of a guest notices a page the
-// RAM pool's scrub left dirty; this comparison does.
+// exactly what a guest booted on unscribbled RAM reads. The guest model
+// never reads RAM it did not write, so no run of a guest notices a page
+// the free list's scrub left dirty; this comparison does. Two garbage
+// collections between the release and the next boot must not lose the
+// released RAM.
 func TestRecycledGuestRAMMatchesFresh(t *testing.T) {
 	boot := func() *Kernel {
 		k := buildTestKernel(t, Config{NCPU: 2})
@@ -486,11 +482,11 @@ func TestRecycledGuestRAMMatchesFresh(t *testing.T) {
 	for i := range junk {
 		junk[i] = byte(i*7 + 1)
 	}
-	// The pool may drop a released RAM (a GC, the race detector), so the
-	// second guest is not certain to take it; try a few times.
-	for attempt := 0; attempt < 8; attempt++ {
+	ref := boot()
+	want := append([]byte(nil), ram(ref)...)
+	ref.Host.Release()
+	for cycle := 0; cycle < 3; cycle++ {
 		first := boot()
-		fresh := boot() // first still holds its RAM, so this cannot take it
 		all, err := first.Host.Slice(0, int(mem.GuestRAMSize))
 		if err != nil {
 			t.Fatal(err)
@@ -500,22 +496,20 @@ func TestRecycledGuestRAMMatchesFresh(t *testing.T) {
 		}
 		firstRAM := &all[0]
 		first.Host.Release()
+		runtime.GC()
+		runtime.GC()
 		second := boot()
 		got := ram(second)
 		if &got[0] != firstRAM {
-			continue // fresh RAM: proves nothing
+			t.Fatalf("cycle %d: the next guest booted on fresh RAM, not the RAM released before two GCs", cycle)
 		}
-		want := ram(fresh)
 		if !bytes.Equal(got, want) {
 			i := 0
 			for got[i] == want[i] {
 				i++
 			}
-			t.Fatalf("recycled guest RAM differs from a fresh guest's at %#x: %#x, want %#x", i, got[i], want[i])
+			t.Fatalf("cycle %d: recycled guest RAM differs from a fresh guest's at %#x: %#x, want %#x", cycle, i, got[i], want[i])
 		}
 		second.Host.Release()
-		fresh.Host.Release()
-		return
 	}
-	t.Skip("the RAM pool never handed the released guest's RAM back")
 }

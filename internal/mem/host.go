@@ -3,6 +3,7 @@ package mem
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sync"
 )
 
@@ -26,7 +27,7 @@ const dirtyWords = GuestRAMSize / PageSize / 64
 // AllocPage calls. An access above guest RAM is bounded to one shadow
 // page (consecutive AllocPage results are not contiguous in general).
 //
-// Guest RAM is recycled: Release hands it to a process-wide pool, and
+// Guest RAM is recycled: Release hands it to a process-wide free list, and
 // NewHost takes it back, clearing only the pages a dirty bitmap marks as
 // touched. Every write to guest RAM goes through Slice or Write, which
 // mark the pages they hand out or touch, so the bitmap covers live views
@@ -46,9 +47,15 @@ type guestRAM struct {
 	dirty [dirtyWords]uint64
 }
 
-// ramPool holds released guest RAM. Profiling sessions boot a guest each,
-// so without it every session would zero 40 MB it mostly never touches.
-var ramPool sync.Pool
+// freeRAM holds released guest RAM, newest last. Profiling sessions boot
+// a guest each, so without it every session would zero 40 MB it mostly
+// never touches. Unlike a sync.Pool, a garbage collection does not empty
+// it. It holds at most GOMAXPROCS entries, one per default worker of a
+// facechange.Pool; RAM released past that cap is left to the GC.
+var freeRAM struct {
+	sync.Mutex
+	list []*guestRAM
+}
 
 // markDirty marks the pages of [hpa, hpa+n), n > 0, as touched: one OR
 // per bitmap word, not one step per page. A word already covering the
@@ -82,10 +89,17 @@ func (g *guestRAM) scrub() {
 }
 
 // NewHost creates host memory backing a guest with GuestRAMSize of RAM and
-// room for shadow pages. The RAM reads all zero: it is either fresh or a
-// released host's RAM with its dirty pages cleared.
+// room for shadow pages. The RAM reads all zero: it is either fresh or the
+// most recently released host's RAM with its dirty pages cleared.
 func NewHost() *Host {
-	g, _ := ramPool.Get().(*guestRAM)
+	var g *guestRAM
+	freeRAM.Lock()
+	if n := len(freeRAM.list); n > 0 {
+		g = freeRAM.list[n-1]
+		freeRAM.list[n-1] = nil
+		freeRAM.list = freeRAM.list[:n-1]
+	}
+	freeRAM.Unlock()
 	if g == nil {
 		g = &guestRAM{buf: make([]byte, GuestRAMSize)}
 	} else {
@@ -94,16 +108,21 @@ func NewHost() *Host {
 	return &Host{guest: g, ram: g.buf, nextPage: GuestRAMSize}
 }
 
-// Release returns the host's guest RAM to the pool for the next NewHost.
-// The caller must own the host outright: neither the host nor any Slice
-// of it may be used afterwards (a later Slice of the former RAM fails,
-// but a Slice taken before Release would alias the next guest's memory).
+// Release returns the host's guest RAM to the free list for the next
+// NewHost, or leaves it to the GC if the list is full. The caller must
+// own the host outright: neither the host nor any Slice of it may be used
+// afterwards (a later Slice of the former RAM fails, but a Slice taken
+// before Release would alias the next guest's memory).
 // Release on an arena host, or on a released one, does nothing.
 func (h *Host) Release() {
 	if h.guest == nil {
 		return
 	}
-	ramPool.Put(h.guest)
+	freeRAM.Lock()
+	if len(freeRAM.list) < runtime.GOMAXPROCS(0) {
+		freeRAM.list = append(freeRAM.list, h.guest)
+	}
+	freeRAM.Unlock()
 	*h = Host{}
 }
 
@@ -181,7 +200,7 @@ func (h *Host) Slice(hpa uint32, n int) ([]byte, error) { return h.slice(hpa, n,
 // host memory, under the same bounds, but it leaves the dirty bitmap
 // alone, since a read cannot make a page nonzero. Writing through it is a
 // bug: a page written only that way would come back unscrubbed from the
-// RAM pool.
+// free list.
 func (h *Host) ReadSlice(hpa uint32, n int) ([]byte, error) { return h.slice(hpa, n, false) }
 
 // slice is Slice for callers that say whether they will write: a read

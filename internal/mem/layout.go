@@ -72,11 +72,6 @@ func PageAlignUp(addr uint32) uint32 {
 	return (addr + PageSize - 1) &^ (PageSize - 1)
 }
 
-// IsKernelGVA reports whether a guest virtual address is in kernel space
-// (the paper's profiling criterion 1: "its memory address is in kernel
-// space").
-func IsKernelGVA(gva uint32) bool { return gva >= KernelBase }
-
 // IsModuleGVA reports whether a guest virtual address lies in the module
 // (vmalloc) area.
 func IsModuleGVA(gva uint32) bool {

@@ -2,6 +2,10 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -27,15 +31,6 @@ func TestPageAlign(t *testing.T) {
 }
 
 func TestKernelGVAClassification(t *testing.T) {
-	if IsKernelGVA(UserCodeBase) {
-		t.Error("user code base must not be kernel space")
-	}
-	if !IsKernelGVA(KernelTextGVA) {
-		t.Error("kernel text must be kernel space")
-	}
-	if !IsKernelGVA(ModuleGVA) {
-		t.Error("module area must be kernel space")
-	}
 	if !IsModuleGVA(ModuleGVA + 100) {
 		t.Error("module area misclassified")
 	}
@@ -587,10 +582,10 @@ func TestHostShadowAccessBoundedToPage(t *testing.T) {
 // last byte of RAM, both sides of a dirty-bitmap word boundary — is
 // cleared by the time a released host's RAM comes back from NewHost. Each
 // cycle dirties different pages and the next host must read all of RAM as
-// zero.
+// zero. Two garbage collections between Release and the next NewHost
+// must not lose the RAM: the next host runs on it every cycle.
 func TestHostRecycledRAMReadsZero(t *testing.T) {
 	wordEdge := uint32(64 * PageSize) // first page of the second bitmap word
-	recycled := 0
 	for cycle := uint32(0); cycle < 4; cycle++ {
 		h := NewHost()
 		if i := firstNonZero(h.ram); i >= 0 {
@@ -626,18 +621,94 @@ func TestHostRecycledRAMReadsZero(t *testing.T) {
 		if _, err := h.Slice(0, 1); err == nil {
 			t.Fatal("a released host still hands out its former RAM")
 		}
+		runtime.GC()
+		runtime.GC()
 		next := NewHost()
-		if next.guest == buf {
-			recycled++
+		if next.guest != buf {
+			t.Fatalf("cycle %d: the next host got fresh RAM, not the RAM released before two GCs", cycle)
 		}
 		if i := firstNonZero(next.ram); i >= 0 {
 			t.Fatalf("cycle %d: recycled RAM byte %#x is %#x, want 0", cycle, i, next.ram[i])
 		}
 		next.Release()
 	}
-	// The pool may drop entries (a GC, the race detector), so reuse is
-	// likely rather than certain.
-	t.Logf("%d of 4 hosts ran on recycled RAM", recycled)
+}
+
+// TestHostRecycleConcurrent: more goroutines than the free list's cap
+// each boot a host, dirty random pages through Write, Accessor.Write and a
+// live Slice, and release it, many times over. Every host must read all
+// zero when it arrives, no two live hosts may share RAM, and the free list
+// never holds more than GOMAXPROCS entries, nor ends empty.
+func TestHostRecycleConcurrent(t *testing.T) {
+	// Each live host is 40 MB, so keep the worker count small on a big
+	// machine; the list's cap follows GOMAXPROCS.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(min(runtime.GOMAXPROCS(0), 2)))
+	workers, rounds := runtime.GOMAXPROCS(0)+2, 12
+	freeLen := func() int {
+		freeRAM.Lock()
+		defer freeRAM.Unlock()
+		return len(freeRAM.list)
+	}
+	var (
+		mu   sync.Mutex
+		live = map[*guestRAM]bool{}
+		wg   sync.WaitGroup
+	)
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(rng *rand.Rand) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				h := NewHost()
+				mu.Lock()
+				shared := live[h.guest]
+				live[h.guest] = true
+				mu.Unlock()
+				if shared {
+					errs <- fmt.Errorf("round %d: two live hosts share one RAM", r)
+					return
+				}
+				if i := firstNonZero(h.ram); i >= 0 {
+					errs <- fmt.Errorf("round %d: arriving host byte %#x is %#x, want 0", r, i, h.ram[i])
+					return
+				}
+				s, err := h.Slice(uint32(rng.Intn(int(GuestRAMSize/PageSize-1)))*PageSize, 2*PageSize)
+				if err != nil {
+					errs <- err
+					return
+				}
+				acc := Accessor{AS: NewAddressSpace(), EPT: NewEPT(), Host: h}
+				for i := 0; i < 8; i++ {
+					if err := h.Write(uint32(rng.Intn(int(GuestRAMSize-1))), []byte{0xC3, 0x90}); err != nil {
+						errs <- err
+						return
+					}
+					if err := acc.Write(KernelBase+uint32(rng.Intn(int(ModuleGPA-3))), []byte{0xDE, 0xAD, 0xBE}); err != nil {
+						errs <- err
+						return
+					}
+				}
+				s[rng.Intn(len(s))] = 0xA5 // a live view written after the fact
+				mu.Lock()
+				delete(live, h.guest)
+				mu.Unlock()
+				h.Release()
+				if n, limit := freeLen(), runtime.GOMAXPROCS(0); n > limit {
+					errs <- fmt.Errorf("free list holds %d RAMs, cap %d", n, limit)
+					return
+				}
+			}
+		}(rand.New(rand.NewSource(int64(w + 1))))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if freeLen() == 0 {
+		t.Fatal("every host was released, yet the free list is empty")
+	}
 }
 
 // firstNonZero returns the index of the first nonzero byte of b, or -1.

@@ -21,9 +21,6 @@ type FnCoverage struct {
 	Size uint32
 }
 
-// Full reports whether the whole function was profiled.
-func (c FnCoverage) Full() bool { return c.Covered >= c.Size }
-
 // Partial reports whether only part of the function was profiled — the
 // case that motivates whole-function view loading (Section III-B1).
 func (c FnCoverage) Partial() bool { return c.Covered > 0 && c.Covered < c.Size }

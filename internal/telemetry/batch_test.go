@@ -77,9 +77,8 @@ func TestRingPopBatchOverflowAccounting(t *testing.T) {
 	}
 }
 
-// TestRingBatchZeroAndPeek: zero-length scratch is a no-op, and Peek
-// must not consume.
-func TestRingBatchZeroAndPeek(t *testing.T) {
+// TestRingBatchZeroScratch: zero-length scratch is a no-op.
+func TestRingBatchZeroScratch(t *testing.T) {
 	r := NewRing(8)
 	r.Push(Event{Seq: 7})
 	r.Push(Event{Seq: 8})
@@ -92,15 +91,9 @@ func TestRingBatchZeroAndPeek(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("zero-length scratch consumed events: len = %d, want 2", r.Len())
 	}
-	if ev, ok := r.Peek(); !ok || ev.Seq != 7 {
-		t.Fatalf("Peek = %v %v, want the oldest event (seq 7)", ev, ok)
-	}
-	if r.Len() != 2 {
-		t.Fatalf("Peek consumed: len = %d, want 2", r.Len())
-	}
 	scratch := make([]Event, 4)
-	if n := r.PopBatch(scratch); n != 2 {
-		t.Fatalf("PopBatch after peek = %d, want 2", n)
+	if n := r.PopBatch(scratch); n != 2 || scratch[0].Seq != 7 {
+		t.Fatalf("PopBatch = %d (first seq %d), want 2 from seq 7", n, scratch[0].Seq)
 	}
 	if n := r.PopBatch(scratch); n != 0 || r.Len() != 0 {
 		t.Fatalf("empty ring PopBatch = %d len=%d, want 0 and 0", n, r.Len())

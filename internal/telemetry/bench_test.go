@@ -53,12 +53,8 @@ func BenchmarkEventPipeline(b *testing.B) {
 		}
 	})
 
-	b.Run("drain-pop", func(b *testing.B) {
-		benchDrain(b, ev, func(h *Hub) { drainPopLegacy(h) })
-	})
-
 	b.Run("drain-batch", func(b *testing.B) {
-		benchDrain(b, ev, func(h *Hub) { h.Drain() })
+		benchDrain(b, ev)
 	})
 
 	b.Run("overflow", func(b *testing.B) {
@@ -85,11 +81,10 @@ func BenchmarkEventPipeline(b *testing.B) {
 // the rings.
 const benchDrainRound = 4096
 
-// benchDrain measures a drain implementation over pre-filled rings (the
-// producer is quiescent during the measured section, so both variants
-// deliver identical exact-order streams). Reported ns/event is the
+// benchDrain measures Hub.Drain over pre-filled rings (the producer is
+// quiescent during the measured section). Reported ns/event is the
 // consumer-side cost the hub pays per delivered event.
-func benchDrain(b *testing.B, ev Event, drain func(*Hub)) {
+func benchDrain(b *testing.B, ev Event) {
 	agg := NewAggregator(64)
 	h := NewHub(HubConfig{CPUs: 4, RingSize: benchDrainRound, Sinks: []Sink{agg}})
 	b.ResetTimer()
@@ -101,38 +96,11 @@ func benchDrain(b *testing.B, ev Event, drain func(*Hub)) {
 			h.Emit(e)
 		}
 		b.StartTimer()
-		drain(h)
+		h.Drain()
 	}
 	b.StopTimer()
 	if got := agg.Stats().Total; got != uint64(b.N)*benchDrainRound || h.Drops() != 0 {
 		b.Fatalf("consumed %d events (drops %d), want %d", got, h.Drops(), uint64(b.N)*benchDrainRound)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*benchDrainRound), "ns/event")
-}
-
-// drainPopLegacy is the pre-batching consumer: peek every ring, pop the
-// minimum sequence, deliver one event at a time. Kept here as the
-// baseline the batched Drain is measured against.
-func drainPopLegacy(h *Hub) int {
-	h.drainMu.Lock()
-	defer h.drainMu.Unlock()
-	n := 0
-	for {
-		best := -1
-		var bestSeq uint64
-		var bestEv Event
-		for i, r := range h.rings {
-			if ev, ok := r.Peek(); ok && (best < 0 || ev.Seq < bestSeq) {
-				best, bestSeq, bestEv = i, ev.Seq, ev
-			}
-		}
-		if best < 0 {
-			return n
-		}
-		h.rings[best].Pop()
-		for _, s := range h.sinks {
-			s.HandleEvent(bestEv)
-		}
-		n++
-	}
 }

@@ -91,15 +91,6 @@ func (r *Ring) PopBatch(dst []Event) int {
 	return n
 }
 
-// Peek returns the oldest event without consuming it (consumer side only).
-func (r *Ring) Peek() (Event, bool) {
-	tail := r.tail.Load()
-	if tail == r.head.Load() {
-		return Event{}, false
-	}
-	return r.buf[tail&r.mask], true
-}
-
 // Len returns the number of buffered events.
 func (r *Ring) Len() int { return int(r.head.Load() - r.tail.Load()) }
 
