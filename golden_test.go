@@ -11,6 +11,7 @@ import (
 	"facechange/internal/core"
 	"facechange/internal/eval"
 	"facechange/internal/kview"
+	"facechange/internal/load"
 	"facechange/internal/sim"
 )
 
@@ -129,6 +130,41 @@ func TestSimDigestPins(t *testing.T) {
 			}
 			if res.Digest != pin.digest {
 				t.Fatalf("digest %016x, want %016x", res.Digest, pin.digest)
+			}
+		})
+	}
+}
+
+// TestLoadDigestPins replays the load harness in process, with fcload's
+// flag defaults, and asserts the trace and report digests of
+//
+//	fcload -seed 1 -apps 12 -skew 1.1 -events 50000 [-sharedcore]
+func TestLoadDigestPins(t *testing.T) {
+	tr, err := load.GenTrace(load.TraceConfig{
+		Seed: 1, Apps: 12, Skew: 1.1, Events: 50000, CPUs: 2,
+		Arrival: "open", Rate: 2000, Think: 2000, Shape: "steady",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tr.DigestString(), "a54ec5094f18d952"; got != want {
+		t.Fatalf("trace digest %s, want %s", got, want)
+	}
+	for _, pin := range []struct {
+		name       string
+		sharedCore bool
+		digest     string
+	}{
+		{"local", false, "2d7c6c11b07948e2"},
+		{"sharedcore", true, "7a217c28392900d2"},
+	} {
+		t.Run(pin.name, func(t *testing.T) {
+			rep, err := load.Run(load.RunConfig{Trace: tr, Runtimes: 2, SharedCore: pin.sharedCore})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.ReportDigest != pin.digest {
+				t.Fatalf("report digest %s, want %s", rep.ReportDigest, pin.digest)
 			}
 		})
 	}

@@ -95,7 +95,7 @@ func measureSwitchAllocs(t *testing.T, opts Options, deferred bool) float64 {
 	if got := rig.rt.ViewSwitches - before; got != uint64(n) {
 		t.Fatalf("%d picks committed %d switches — the pin measured a dead path", n, got)
 	}
-	if refs := rig.rt.ResumeTrapRefs(); refs != 0 {
+	if refs := rig.rt.resumeTrapRefs; refs != 0 {
 		t.Fatalf("resume trap left armed (%d refs) after the switches committed", refs)
 	}
 	return avg

@@ -577,10 +577,6 @@ func (r *Runtime) invalidateModules() {
 	r.bumpModGen()
 }
 
-// ModuleCacheGen returns the module-list generation: it advances every
-// time the cached list is replaced or dropped.
-func (r *Runtime) ModuleCacheGen() uint64 { return r.modGen }
-
 // bumpModGen advances the module-list generation. Symbolizations derived
 // from the superseded list are stale, so the symbol cache goes with it.
 func (r *Runtime) bumpModGen() {

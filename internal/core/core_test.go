@@ -262,8 +262,6 @@ func TestInstantRecoveryOfMisparsingReturnSite(t *testing.T) {
 		t.Skip("no odd call site in do_sys_poll; parity depends on catalog layout")
 	}
 	// Fabricate the stack: EBP chain with one frame returning to retAddr.
-	st := k.CurrentTask(cpu)
-	_ = st
 	sp := mem.KernelStackGVA + 4*mem.KernelStackSize - 64
 	acc := cpu.Mem()
 	if err := acc.WriteU32(sp, 0); err != nil { // prev ebp = 0 (chain end)

@@ -15,16 +15,6 @@ import (
 // ascending order.
 func (r *Runtime) LoadedIndices() []int { return slices.Clone(r.live) }
 
-// LastView returns the deferred-switch target recorded for a vCPU.
-func (r *Runtime) LastView(cpuID int) int { return r.cpus[cpuID].last }
-
-// ResumeArmed reports whether a vCPU has a deferred switch pending at the
-// resume-userspace trap.
-func (r *Runtime) ResumeArmed(cpuID int) bool { return r.cpus[cpuID].resumeArmed }
-
-// ResumeTrapRefs returns the shared resume-breakpoint reference count.
-func (r *Runtime) ResumeTrapRefs() int { return r.resumeTrapRefs }
-
 // TextSize returns the base kernel text size the runtime shadows.
 func (r *Runtime) TextSize() uint32 { return r.textSize }
 

@@ -29,7 +29,7 @@ func TestModuleListCacheProbe(t *testing.T) {
 		t.Errorf("first module symbolization charged %d cycles, want full walk %d", walkCost, want)
 	}
 
-	gen := rig.rt.ModuleCacheGen()
+	gen := rig.rt.modGen
 	cached, probeCost := symbolizeCost()
 	if cached != first {
 		t.Errorf("cached symbolization %q differs from first %q", cached, first)
@@ -37,7 +37,7 @@ func TestModuleListCacheProbe(t *testing.T) {
 	if probeCost != cost.VMIRead {
 		t.Errorf("repeat symbolization charged %d cycles, want exactly one probe read %d", probeCost, cost.VMIRead)
 	}
-	if rig.rt.ModuleCacheGen() != gen {
+	if rig.rt.modGen != gen {
 		t.Error("cache-served symbolization advanced the module generation")
 	}
 }
@@ -52,7 +52,7 @@ func TestModuleCacheCountChange(t *testing.T) {
 
 	fnA := moduleFunc(t, rig.k, "af_packet")
 	rig.rt.Symbolize(cpu, fnA.Addr) // warm the cache (count = 1)
-	gen := rig.rt.ModuleCacheGen()
+	gen := rig.rt.modGen
 
 	if _, err := rig.k.LoadModule("snd"); err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestModuleCacheCountChange(t *testing.T) {
 	if want := uint64(1+3*2) * cost.VMIRead; delta != want {
 		t.Errorf("post-churn symbolization charged %d cycles, want fresh 2-entry walk %d", delta, want)
 	}
-	if rig.rt.ModuleCacheGen() == gen {
+	if rig.rt.modGen == gen {
 		t.Error("module churn did not advance the cache generation")
 	}
 
@@ -91,9 +91,9 @@ func TestInvalidateModuleCache(t *testing.T) {
 	fn := moduleFunc(t, rig.k, "af_packet")
 	rig.rt.Symbolize(cpu, fn.Addr) // warm
 
-	gen := rig.rt.ModuleCacheGen()
+	gen := rig.rt.modGen
 	rig.rt.InvalidateModuleCache()
-	if rig.rt.ModuleCacheGen() == gen {
+	if rig.rt.modGen == gen {
 		t.Error("InvalidateModuleCache did not advance the generation")
 	}
 

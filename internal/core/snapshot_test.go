@@ -227,7 +227,7 @@ func TestUnloadViewWhileSnapshotActive(t *testing.T) {
 	if v.root != nil {
 		t.Error("unloaded view still holds its root")
 	}
-	if got := rig.rt.LastView(1); got != FullView {
+	if got := rig.rt.cpus[1].last; got != FullView {
 		t.Errorf("cpu1 deferred view = %d after unload, want full view", got)
 	}
 	if err := rig.rt.CheckSwitchState(); err != nil {

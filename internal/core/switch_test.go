@@ -254,9 +254,9 @@ func TestUnloadActiveView(t *testing.T) {
 	if got := rig.rt.ActiveView(0); got != idx {
 		t.Fatalf("setup: cpu0 active = %d, want %d", got, idx)
 	}
-	if !rig.rt.ResumeArmed(1) || rig.rt.LastView(1) != idx {
+	if !rig.rt.cpus[1].resumeArmed || rig.rt.cpus[1].last != idx {
 		t.Fatalf("setup: cpu1 armed=%v last=%d, want deferred switch to %d",
-			rig.rt.ResumeArmed(1), rig.rt.LastView(1), idx)
+			rig.rt.cpus[1].resumeArmed, rig.rt.cpus[1].last, idx)
 	}
 
 	if err := rig.rt.UnloadView(idx); err != nil {
@@ -271,10 +271,10 @@ func TestUnloadActiveView(t *testing.T) {
 		t.Error("cpu0 text page still redirected after unloading its active view")
 	}
 	// cpu1's deferred switch retargeted to the full view, trap still armed.
-	if got := rig.rt.LastView(1); got != FullView {
+	if got := rig.rt.cpus[1].last; got != FullView {
 		t.Errorf("cpu1 deferred view = %d after unload, want full view", got)
 	}
-	if !rig.rt.ResumeArmed(1) {
+	if !rig.rt.cpus[1].resumeArmed {
 		t.Error("cpu1 resume trap disarmed by unload; pending resume would be missed")
 	}
 	if err := rig.rt.CheckSwitchState(); err != nil {
@@ -286,7 +286,7 @@ func TestUnloadActiveView(t *testing.T) {
 	if got := rig.rt.ActiveView(1); got != FullView {
 		t.Errorf("cpu1 active = %d after deferred resume, want full view", got)
 	}
-	if got := rig.rt.ResumeTrapRefs(); got != 0 {
+	if got := rig.rt.resumeTrapRefs; got != 0 {
 		t.Errorf("resume refcount = %d after all resumes, want 0", got)
 	}
 

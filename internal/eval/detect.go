@@ -80,10 +80,10 @@ func RunAttackDetection(a malware.Attack, views map[string]*kview.View, cfg Tabl
 	}, nil
 }
 
-// RunCleanDetection runs the victim's clean workload against its own
+// runCleanDetection runs the victim's clean workload against its own
 // clean-run baseline — the false-positive control: a benign app must
 // produce zero suspected-attack verdicts.
-func RunCleanDetection(a malware.Attack, views map[string]*kview.View, cfg Table2Config) (DetectionResult, error) {
+func runCleanDetection(a malware.Attack, views map[string]*kview.View, cfg Table2Config) (DetectionResult, error) {
 	cfg.defaults()
 	view, ok := views[a.Victim]
 	if !ok {

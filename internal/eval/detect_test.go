@@ -58,7 +58,7 @@ func TestDetectionGoldenVerdicts(t *testing.T) {
 			continue
 		}
 		seen[a.Victim] = true
-		r, err := RunCleanDetection(a, tab.Views, Table2Config{})
+		r, err := runCleanDetection(a, tab.Views, Table2Config{})
 		if err != nil {
 			t.Fatalf("clean %s: %v", a.Victim, err)
 		}

@@ -17,8 +17,8 @@ import (
 )
 
 // EvolutionConfig controls the online view-evolution harnesses: the
-// convergence soak (RunConvergence) and the Table II safety soak
-// (RunEvolutionSafety).
+// convergence soak (runConvergence) and the Table II safety soak
+// (runEvolutionSafety).
 type EvolutionConfig struct {
 	// App is the convergence workload application (default "top").
 	App string
@@ -148,13 +148,13 @@ func (p *hotplugPublisher) publish(app string, gen uint64, v *kview.View) error 
 	return nil
 }
 
-// RunConvergence is the convergence soak: a stable workload replayed over
+// runConvergence is the convergence soak: a stable workload replayed over
 // several sessions, each booting a fresh VM on the latest view generation,
 // with the evolution loop promoting the recoveries of earlier sessions.
 // With an incomplete seed profile the early epochs recover steadily; once
 // the hysteresis threshold is crossed the recovered spans ship as new
 // generations and the recovery rate decays toward zero.
-func RunConvergence(cfg EvolutionConfig) (*ConvergenceResult, error) {
+func runConvergence(cfg EvolutionConfig) (*ConvergenceResult, error) {
 	cfg.defaults()
 	app, ok := apps.ByName(cfg.App)
 	if !ok {
@@ -265,12 +265,12 @@ type SafetyResult struct {
 	Drops uint64
 }
 
-// RunEvolutionSafety replays every catalog attack with the evolution loop
+// runEvolutionSafety replays every catalog attack with the evolution loop
 // live and maximally permissive (MinHits=1, MinWindows=1, promotion cut on
 // every window edge): the strongest configuration for the safety claim
 // that verdict gating — not hysteresis — is what keeps attack evidence out
 // of promoted views.
-func RunEvolutionSafety(views map[string]*kview.View, cfg Table2Config) ([]SafetyResult, error) {
+func runEvolutionSafety(views map[string]*kview.View, cfg Table2Config) ([]SafetyResult, error) {
 	cfg.defaults()
 	var out []SafetyResult
 	for _, a := range malware.Catalog() {
@@ -370,8 +370,8 @@ func runAttackEvolution(a malware.Attack, views map[string]*kview.View, cfg Tabl
 	}, nil
 }
 
-// FormatEvolutionSafety renders the safety soak like Table II.
-func FormatEvolutionSafety(results []SafetyResult) string {
+// formatEvolutionSafety renders the safety soak like Table II.
+func formatEvolutionSafety(results []SafetyResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-14s %-9s %-6s %-7s %s\n", "Name", "Flagged", "Cuts", "Denied", "AttackPromoted")
 	for _, r := range results {

@@ -15,7 +15,7 @@ import (
 // generations it falls below 1% of the generation-0 rate (which, at this
 // population, means zero).
 func TestConvergencePin(t *testing.T) {
-	r, err := RunConvergence(EvolutionConfig{ProfileCalls: 8, Calls: 400})
+	r, err := runConvergence(EvolutionConfig{ProfileCalls: 8, Calls: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +70,11 @@ func TestEvolutionSafetyTable2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := RunEvolutionSafety(tab.Views, Table2Config{})
+	results, err := runEvolutionSafety(tab.Views, Table2Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("\n%s", FormatEvolutionSafety(results))
+	t.Logf("\n%s", formatEvolutionSafety(results))
 	writeEvolveArtifact(t, "safety.json", results)
 
 	if len(results) != 16 {

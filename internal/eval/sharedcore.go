@@ -2,8 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"facechange/internal/kernel"
 	"facechange/internal/kview"
@@ -38,19 +36,4 @@ func SharedCore(t *Table1) (*kview.View, map[string]uint64, error) {
 		bySub[c.Sub] += uint64(c.Covered)
 	}
 	return core, bySub, nil
-}
-
-// FormatSharedCore renders the decomposition.
-func FormatSharedCore(core *kview.View, bySub map[string]uint64) string {
-	subs := make([]string, 0, len(bySub))
-	for s := range bySub {
-		subs = append(subs, s)
-	}
-	sort.Slice(subs, func(i, j int) bool { return bySub[subs[i]] > bySub[subs[j]] })
-	var b strings.Builder
-	fmt.Fprintf(&b, "kernel code shared by all %s applications: %d KB\n", "12", core.Size()/1024)
-	for _, s := range subs {
-		fmt.Fprintf(&b, "  %-12s %8d bytes\n", s, bySub[s])
-	}
-	return b.String()
 }

@@ -36,9 +36,9 @@ import (
 	"facechange/internal/telemetry"
 )
 
-// PublishFunc ships one freshly cut view generation. Implementations:
-// PublishToFleet (catalog push + delta sync to every node) and
-// PublishToRuntime (direct hot-plug). A returned error is recorded, not
+// PublishFunc ships one freshly cut view generation, for example
+// PublishToRuntime (direct hot-plug) or a fleet.Server's Publish (catalog
+// push + delta sync to every node). A returned error is recorded, not
 // fatal — the generation stays cut and queryable, and the next cut retries
 // the full current view.
 type PublishFunc func(app string, gen uint64, v *kview.View) error
@@ -469,22 +469,6 @@ func (e *Evolver) PromotedRanges(app string) kview.RangeList {
 		return a.promoted.Clone()
 	}
 	return nil
-}
-
-// DeniedSpans returns an application's deny-listed spans, sorted.
-func (e *Evolver) DeniedSpans(app string) []Span {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	a := e.apps[app]
-	if a == nil {
-		return nil
-	}
-	out := make([]Span, 0, len(a.denied))
-	for s := range a.denied {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
 }
 
 // DeniedSpan is one deny-list entry with the verdict class that earned it

@@ -129,7 +129,7 @@ func TestSuspectVerdictDenies(t *testing.T) {
 	if st.Denied != 1 || st.DeniedHits != 10 {
 		t.Fatalf("deny accounting: %+v", st)
 	}
-	spans := e.DeniedSpans("top")
+	spans := e.ExportApp("top").Denied
 	if len(spans) != 1 || spans[0].Start != mem.KernelTextGVA+0x3000 {
 		t.Fatalf("deny-list: %+v", spans)
 	}

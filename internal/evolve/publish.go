@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"facechange/internal/core"
-	"facechange/internal/fleet"
 	"facechange/internal/kview"
 )
 
@@ -29,20 +28,6 @@ func PublishToRuntime(rt *core.Runtime) PublishFunc {
 		mu.Unlock()
 		if had {
 			rt.UnloadView(old) // best-effort retirement (see above)
-		}
-		return nil
-	}
-}
-
-// PublishToFleet returns a PublishFunc that publishes each generation
-// through the control plane: the catalog bumps its generation and every
-// connected node delta-syncs the new view and hot-plugs it into its own
-// runtime — the MultiK shape, with our chunked catalog as the
-// distribution substrate.
-func PublishToFleet(srv *fleet.Server) PublishFunc {
-	return func(app string, gen uint64, v *kview.View) error {
-		if err := srv.Publish(v); err != nil {
-			return fmt.Errorf("evolve: publish %s gen %d: %w", app, gen, err)
 		}
 		return nil
 	}

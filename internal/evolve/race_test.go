@@ -58,7 +58,6 @@ func TestGenerationRaceWithSwitchStormAndFleetSync(t *testing.T) {
 	defer node.Close()
 
 	pubRT := PublishToRuntime(rt)
-	pubFleet := PublishToFleet(srv)
 	e, err := New(Config{
 		Detector:     detect.New(detect.Config{}),
 		MinHits:      2,
@@ -69,7 +68,7 @@ func TestGenerationRaceWithSwitchStormAndFleetSync(t *testing.T) {
 			if err := pubRT(app, gen, v); err != nil {
 				return err
 			}
-			return pubFleet(app, gen, v)
+			return srv.Publish(v)
 		},
 	})
 	if err != nil {

@@ -99,11 +99,3 @@ func (h *Homing) Home() string {
 	defer h.mu.Unlock()
 	return h.home
 }
-
-// Moves counts re-homes: successful dials that landed on a different
-// shard than the previous one.
-func (h *Homing) Moves() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.moves
-}

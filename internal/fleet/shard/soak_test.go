@@ -225,15 +225,17 @@ func TestShardSoak(t *testing.T) {
 			}
 			t.Fatalf("node-%03d shard map epoch %d, want %d", i, gotEpoch, epoch)
 		}
-		if _, dead := m.Shard("s-b"); dead {
-			t.Fatalf("node-%03d still gossips the killed shard", i)
+		for _, s := range m.Shards {
+			if s.ID == "s-b" {
+				t.Fatalf("node-%03d still gossips the killed shard", i)
+			}
 		}
 	}
 
 	// The killed shard's nodes actually moved.
 	moved := 0
 	for i := range homers {
-		if homers[i].Moves() > 0 {
+		if moves(homers[i]) > 0 {
 			moved++
 			if homers[i].Home() == "s-b" {
 				t.Fatalf("node-%03d re-homed onto the killed shard", i)

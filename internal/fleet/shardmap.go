@@ -37,16 +37,6 @@ func (m ShardMap) Clone() ShardMap {
 	return out
 }
 
-// Shard returns the ShardInfo with the given ID.
-func (m ShardMap) Shard(id string) (ShardInfo, bool) {
-	for _, s := range m.Shards {
-		if s.ID == id {
-			return s, true
-		}
-	}
-	return ShardInfo{}, false
-}
-
 // normalize sorts the shard list by ID (canonical wire order).
 func (m *ShardMap) normalize() {
 	sort.Slice(m.Shards, func(i, j int) bool { return m.Shards[i].ID < m.Shards[j].ID })

@@ -135,9 +135,6 @@ func (m *Machine) AddBlockListener(l BlockListener) { m.listeners = append(m.lis
 // to 16 samples.
 func (m *Machine) Misparses() (uint64, []Misparse) { return m.misparseCount, m.misparses }
 
-// ResetMisparses clears misparse accounting.
-func (m *Machine) ResetMisparses() { m.misparseCount, m.misparses = 0, nil }
-
 // Run executes guest code until the cycle budget is exhausted, stop
 // returns true (checked at interrupt-delivery boundaries), or an error
 // occurs. Multiple vCPUs are interleaved in fixed quanta.

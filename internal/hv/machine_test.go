@@ -68,7 +68,7 @@ func testMachine(t *testing.T, code []byte) (*Machine, *CPU, *stubOS) {
 func TestCallRetRoundTrip(t *testing.T) {
 	// call +3; hlt ; callee: ret
 	var a isa.Asm
-	a.Call("callee").Halt().Nop(2) // pad so callee lands at offset 8
+	a.Call("callee").Halt().Pad(8) // callee lands at offset 8
 	code := a.Bytes()
 	code = append(code, isa.ByteRet)
 	callee := mem.KernelTextGVA + uint32(len(code)) - 1
@@ -130,7 +130,7 @@ func TestPrologueBuildsFrameChain(t *testing.T) {
 
 func TestConditionalBranchConsultsOS(t *testing.T) {
 	var a isa.Asm
-	a.JzOver(func(b *isa.Asm) { b.Nop(3) })
+	a.JzOver(func(b *isa.Asm) { b.Pad(b.Len() + 3) })
 	a.Halt()
 	code := a.Bytes()
 	m, cpu, os := testMachine(t, code)
@@ -223,7 +223,7 @@ func TestUD2HandlerRecoversAndRetries(t *testing.T) {
 
 func TestAddrTrapFiresAtBlockEntry(t *testing.T) {
 	var a isa.Asm
-	a.Nop(1).Halt()
+	a.Pad(1).Halt()
 	m, cpu, _ := testMachine(t, a.Bytes())
 	h := &fixingHandler{}
 	m.SetExitHandler(h)
@@ -258,15 +258,11 @@ func TestMisparseAccounting(t *testing.T) {
 	if n != 1 || len(samples) != 1 || samples[0].EIP != mem.KernelTextGVA {
 		t.Fatalf("misparses = %d %v", n, samples)
 	}
-	m.ResetMisparses()
-	if n, _ := m.Misparses(); n != 0 {
-		t.Fatal("reset failed")
-	}
 }
 
 func TestBlockListenerReceivesRanges(t *testing.T) {
 	var a isa.Asm
-	a.Nop(3).Halt()
+	a.Pad(3).Halt()
 	m, cpu, os := testMachine(t, a.Bytes())
 	os.ctx = ExecContext{PID: 42}
 	var got []struct {
@@ -293,7 +289,7 @@ func TestBlockListenerReceivesRanges(t *testing.T) {
 
 func TestCyclesAdvancePerInstruction(t *testing.T) {
 	var a isa.Asm
-	a.Nop(5).Halt()
+	a.Pad(5).Halt()
 	m, cpu, _ := testMachine(t, a.Bytes())
 	if err := m.runBlock(cpu); err != nil {
 		t.Fatal(err)
@@ -308,9 +304,7 @@ func TestCyclesAdvancePerInstruction(t *testing.T) {
 }
 
 func TestMovEAXAndWork(t *testing.T) {
-	var a isa.Asm
-	a.MovEAX(0xBEEF).Work().Halt()
-	m, cpu, _ := testMachine(t, a.Bytes())
+	m, cpu, _ := testMachine(t, []byte{isa.ByteMovEAX, 0xEF, 0xBE, 0, 0, isa.ByteWork, isa.ByteHalt})
 	if err := m.runBlock(cpu); err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +329,7 @@ func TestMultiCPUInterleaving(t *testing.T) {
 	host := mem.NewHost()
 	// Two CPUs, each spinning on its own nop+jmp loop.
 	var a isa.Asm
-	a.Nop(4)
+	a.Pad(4)
 	code := append(a.Bytes(), isa.ByteJmpShort, 0xFA) // jmp -6 (back to start)
 	if err := host.Write(mem.KernelTextGPA, code); err != nil {
 		t.Fatal(err)
@@ -364,7 +358,7 @@ func TestMultiCPUInterleaving(t *testing.T) {
 func TestRunStopsOnCallback(t *testing.T) {
 	host := mem.NewHost()
 	var a isa.Asm
-	a.Nop(2)
+	a.Pad(2)
 	code := append(a.Bytes(), isa.ByteJmpShort, 0xFC)
 	if err := host.Write(mem.KernelTextGPA, code); err != nil {
 		t.Fatal(err)

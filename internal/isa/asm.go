@@ -82,21 +82,6 @@ func (a *Asm) Iret() *Asm {
 	return a
 }
 
-// MovEAX emits mov eax, imm32.
-func (a *Asm) MovEAX(v uint32) *Asm {
-	a.buf = append(a.buf, ByteMovEAX, 0, 0, 0, 0)
-	putLE32(a.buf[len(a.buf)-4:], v)
-	return a
-}
-
-// Nop emits n single-byte NOPs.
-func (a *Asm) Nop(n int) *Asm {
-	for i := 0; i < n; i++ {
-		a.buf = append(a.buf, ByteNop)
-	}
-	return a
-}
-
 // TaskSwitch emits the hardware context-switch pseudo instruction.
 func (a *Asm) TaskSwitch() *Asm {
 	a.buf = append(a.buf, ByteTaskSw)
@@ -106,12 +91,6 @@ func (a *Asm) TaskSwitch() *Asm {
 // Halt emits hlt.
 func (a *Asm) Halt() *Asm {
 	a.buf = append(a.buf, ByteHalt)
-	return a
-}
-
-// Work emits one abstract unit of user computation.
-func (a *Asm) Work() *Asm {
-	a.buf = append(a.buf, ByteWork)
 	return a
 }
 
@@ -127,22 +106,6 @@ func (a *Asm) Pad(n int) *Asm {
 		a.buf = append(a.buf, Byte0F, ByteNopLSec, 0, 0, 0, 0, 0)
 	}
 	for len(a.buf) < n {
-		a.buf = append(a.buf, ByteNop)
-	}
-	return a
-}
-
-// SkipPad emits a short jump over (n - 2) bytes of padding so that the
-// function occupies n more bytes while executing only the jump. Useful for
-// bulking code size without interpretation cost; note that skipped padding
-// is never *executed*, so it does not count toward a profiled kernel view.
-// n must be in [2, 129].
-func (a *Asm) SkipPad(n int) *Asm {
-	if n < 2 || n > 129 {
-		panic(fmt.Sprintf("isa: SkipPad size %d out of range [2,129]", n))
-	}
-	a.buf = append(a.buf, ByteJmpShort, byte(n-2))
-	for i := 0; i < n-2; i++ {
 		a.buf = append(a.buf, ByteNop)
 	}
 	return a

@@ -40,7 +40,7 @@ func TestDisasmTerminatesOnGarbage(t *testing.T) {
 
 func TestDisasmCoversEveryByte(t *testing.T) {
 	var a Asm
-	a.Prologue().CallInd(3).MovEAX(7).Pad(64)
+	a.Prologue().CallInd(3).Call("f").Pad(64)
 	a.Epilogue()
 	lines := Disasm(a.Bytes(), 0x100)
 	total := 0

@@ -130,16 +130,6 @@ type Inst struct {
 	Imm int64  // immediate operand, sign-extended where relative
 }
 
-// IsControlFlow reports whether the instruction ends a basic block.
-func (i Inst) IsControlFlow() bool {
-	switch i.Op {
-	case OpCall, OpJmp, OpJmpShort, OpJz, OpJnz, OpRet, OpInt, OpIret,
-		OpCallInd, OpUD2, OpTaskSwitch, OpHalt, OpInvalid:
-		return true
-	}
-	return false
-}
-
 // String returns a short mnemonic for the instruction.
 func (i Inst) String() string {
 	switch i.Op {

@@ -91,26 +91,9 @@ func TestUD2FillParity(t *testing.T) {
 	}
 }
 
-func TestControlFlowClassification(t *testing.T) {
-	cf := []Op{OpCall, OpJmp, OpJmpShort, OpJz, OpJnz, OpRet, OpInt, OpIret,
-		OpCallInd, OpUD2, OpTaskSwitch, OpHalt, OpInvalid}
-	for _, op := range cf {
-		if !(Inst{Op: op}).IsControlFlow() {
-			t.Errorf("op %v should be control flow", op)
-		}
-	}
-	straight := []Op{OpPushEBP, OpMovEBPESP, OpPopEBP, OpLeave, OpNop, OpNopL,
-		OpOrAcc, OpMovEAXImm, OpWork}
-	for _, op := range straight {
-		if (Inst{Op: op}).IsControlFlow() {
-			t.Errorf("op %v should not be control flow", op)
-		}
-	}
-}
-
 func TestAsmPrologueEpilogueRoundTrip(t *testing.T) {
 	var a Asm
-	a.Prologue().Nop(3).Epilogue()
+	a.Prologue().Pad(6).Epilogue()
 	b := a.Bytes()
 	if !HasPrologueAt(b, 0) {
 		t.Fatalf("assembled function lacks prologue signature: % x", b)
@@ -182,35 +165,8 @@ func TestAsmPadOverflowPanics(t *testing.T) {
 		}
 	}()
 	var a Asm
-	a.Nop(10)
+	a.Pad(10)
 	a.Pad(5)
-}
-
-func TestAsmSkipPad(t *testing.T) {
-	var a Asm
-	a.SkipPad(20)
-	b := a.Bytes()
-	if len(b) != 20 {
-		t.Fatalf("SkipPad(20) emitted %d bytes", len(b))
-	}
-	in := Decode(b)
-	if in.Op != OpJmpShort || in.Imm != 18 {
-		t.Fatalf("SkipPad jump = %+v, want jmp short +18", in)
-	}
-}
-
-func TestAsmSkipPadBounds(t *testing.T) {
-	for _, n := range []int{0, 1, 130, 1000} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("SkipPad(%d) should panic", n)
-				}
-			}()
-			var a Asm
-			a.SkipPad(n)
-		}()
-	}
 }
 
 func TestAsmJzOver(t *testing.T) {

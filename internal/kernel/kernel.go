@@ -73,8 +73,6 @@ type Config struct {
 	// ExtraModules are additional module images (e.g. rootkits) compiled
 	// into the image but not loaded until LoadModule is called.
 	ExtraModules []ModuleSpec
-	// TimerPeriod overrides DefaultTimerPeriod when nonzero.
-	TimerPeriod uint64
 	// KbdPeriod, when nonzero, delivers periodic keyboard interrupts
 	// (interactive sessions).
 	KbdPeriod uint64
@@ -91,9 +89,8 @@ type Kernel struct {
 	Host *mem.Host
 	M    *hv.Machine
 
-	clock       ClockSource
-	timerPeriod uint64
-	kbdPeriod   uint64
+	clock     ClockSource
+	kbdPeriod uint64
 
 	hooks map[uint64]uint32 // (slot,key) → target addr
 
@@ -167,16 +164,12 @@ func boot(cfg Config, img *Image) (*Kernel, error) {
 		Syms:        img.Symbols,
 		Host:        mem.NewHost(),
 		clock:       cfg.Clock,
-		timerPeriod: cfg.TimerPeriod,
 		kbdPeriod:   cfg.KbdPeriod,
 		hooks:       make(map[uint64]uint32),
 		nextModGVA:  mem.ModuleGVA + mem.PageSize,
 		nextPID:     1,
 		nextUserGPA: mem.UserGPA,
 		kernelAS:    mem.NewAddressSpace(),
-	}
-	if k.timerPeriod == 0 {
-		k.timerPeriod = DefaultTimerPeriod
 	}
 	if err := k.Host.Write(mem.KernelTextGPA, img.Text); err != nil {
 		return nil, fmt.Errorf("kernel: load text: %w", err)
@@ -190,7 +183,7 @@ func boot(cfg Config, img *Image) (*Kernel, error) {
 	k.M = hv.NewMachine(k.Host, k, cfg.NCPU)
 	for i, cpu := range k.M.CPUs {
 		st := &cpuState{
-			nextTimerAt: k.timerPeriod,
+			nextTimerAt: DefaultTimerPeriod,
 		}
 		if k.kbdPeriod > 0 {
 			st.nextKbdAt = k.kbdPeriod
@@ -269,19 +262,6 @@ func (k *Kernel) SetNICRate(period uint64, fam SockFam) {
 
 // Clock returns the active clocksource.
 func (k *Kernel) Clock() ClockSource { return k.clock }
-
-// Tasks returns all tasks (including dead ones), in creation order.
-func (k *Kernel) Tasks() []*Task { return k.tasks }
-
-// TaskByName finds the first live task with the given comm.
-func (k *Kernel) TaskByName(name string) (*Task, bool) {
-	for _, t := range k.tasks {
-		if t.Name == name && t.State != TaskDead {
-			return t, true
-		}
-	}
-	return nil, false
-}
 
 // Modules returns the loaded-module list (including hidden modules, which
 // guest-side VMI cannot see).
@@ -453,9 +433,6 @@ func (k *Kernel) Context(c *hv.CPU) hv.ExecContext {
 	st := k.cpu(c)
 	return hv.ExecContext{PID: st.current.PID, IRQ: st.irqDepth > 0}
 }
-
-// CurrentTask returns the task running on the CPU.
-func (k *Kernel) CurrentTask(c *hv.CPU) *Task { return k.cpu(c).current }
 
 // Int implements hv.GuestOS: system-call entry.
 func (k *Kernel) Int(c *hv.CPU, vector uint8) error {
@@ -631,11 +608,11 @@ func (k *Kernel) putToSleep(t *Task) {
 	case WaitTimer:
 		t.WakeAt = now + timerWait
 		if t.cur.SleepTicks > 0 {
-			t.WakeAt = now + uint64(t.cur.SleepTicks)*k.timerPeriod
+			t.WakeAt = now + uint64(t.cur.SleepTicks)*DefaultTimerPeriod
 		}
 		if t.kernelThread {
 			// Resident kernel threads park for long commit intervals.
-			t.WakeAt = now + 40*k.timerPeriod
+			t.WakeAt = now + 40*DefaultTimerPeriod
 		}
 	case WaitDisk:
 		k.pushEvent(event{at: now + diskLatency, vector: VecDisk})
@@ -873,7 +850,7 @@ func (k *Kernel) nextDue(st *cpuState, now uint64) (uint32, SockFam, bool) {
 		return ev.vector, ev.fam, true
 	}
 	if st.nextTimerAt <= now {
-		st.nextTimerAt = now + k.timerPeriod
+		st.nextTimerAt = now + DefaultTimerPeriod
 		return VecTimer, SockNone, true
 	}
 	if k.kbdPeriod > 0 && st.nextKbdAt <= now {

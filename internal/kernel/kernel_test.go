@@ -199,7 +199,7 @@ func TestForkSpawnsChild(t *testing.T) {
 		t.Fatalf("parent stuck: %v (wait=%v)", parent.State, parent.Wait)
 	}
 	ct, ok := func() (*Task, bool) {
-		for _, tk := range k.Tasks() {
+		for _, tk := range k.tasks {
 			if tk.Name == "child" {
 				return tk, true
 			}

@@ -3,7 +3,6 @@ package kview
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 )
 
@@ -134,16 +133,6 @@ func (v *View) Marshal() ([]byte, error) {
 		}
 	}
 	return json.MarshalIndent(cfg, "", "  ")
-}
-
-// WriteTo writes the serialized configuration.
-func (v *View) WriteTo(w io.Writer) (int64, error) {
-	b, err := v.Marshal()
-	if err != nil {
-		return 0, err
-	}
-	n, err := w.Write(b)
-	return int64(n), err
 }
 
 // Unmarshal parses a kernel view configuration file.

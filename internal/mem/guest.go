@@ -146,10 +146,3 @@ func (a Accessor) WriteU32(gva uint32, v uint32) error {
 	b := [4]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
 	return a.Write(gva, b[:])
 }
-
-// ReadPhys fills buf from guest *physical* memory, bypassing the EPT. This
-// is how FACE-CHANGE fetches pristine kernel bytes ("the original kernel
-// code pages") during code recovery regardless of the active view.
-func (a Accessor) ReadPhys(gpa uint32, buf []byte) error {
-	return a.Host.Read(gpa, buf)
-}

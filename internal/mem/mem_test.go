@@ -298,11 +298,11 @@ func TestAccessorReadPhysBypassesEPT(t *testing.T) {
 	if b[0] != 0x22 {
 		t.Errorf("virtual read through EPT = %#x, want shadow byte 0x22", b[0])
 	}
-	if err := acc.ReadPhys(KernelTextGPA, b); err != nil {
+	if err := acc.Host.Read(KernelTextGPA, b); err != nil {
 		t.Fatal(err)
 	}
 	if b[0] != 0x11 {
-		t.Errorf("ReadPhys = %#x, want pristine byte 0x11", b[0])
+		t.Errorf("physical read = %#x, want pristine byte 0x11", b[0])
 	}
 }
 

@@ -260,16 +260,6 @@ func (c *PageCache) Snapshot() map[uint32]int {
 	return out
 }
 
-// Refs returns the live reference count of a cached page (0 if untracked).
-func (c *PageCache) Refs(hpa uint32) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[hpa]; ok {
-		return e.refs
-	}
-	return 0
-}
-
 // HitMiss returns just the hit and miss counters — a cheap read for
 // callers that bracket an operation (LoadView's telemetry) and only need
 // the delta, skipping Stats' full entry walk.

@@ -85,14 +85,14 @@ func TestPageCacheHashCollision(t *testing.T) {
 	// Drop the bucket's first page entirely; the second stays reachable.
 	c.Release(ha)
 	c.Release(ha)
-	if c.Refs(ha) != 0 {
-		t.Fatalf("released page still has %d refs", c.Refs(ha))
+	if refCount(c, ha) != 0 {
+		t.Fatalf("released page still has %d refs", refCount(c, ha))
 	}
 	if got := intern(b); got != hb {
 		t.Errorf("second page after releasing the first = %#x, want %#x", got, hb)
 	}
-	if c.Refs(hb) != 3 {
-		t.Errorf("second page refs = %d, want 3", c.Refs(hb))
+	if refCount(c, hb) != 3 {
+		t.Errorf("second page refs = %d, want 3", refCount(c, hb))
 	}
 	page := make([]byte, PageSize)
 	if err := c.host.Read(hb, page); err != nil || !bytes.Equal(page, b) {
@@ -134,15 +134,15 @@ func TestPageCacheReleaseFreesAtZero(t *testing.T) {
 	c := NewPageCache(h)
 	a, _ := c.Intern(pageFilled(0xAA))
 	c.Intern(pageFilled(0xAA))
-	if got := c.Refs(a); got != 2 {
+	if got := refCount(c, a); got != 2 {
 		t.Fatalf("refs = %d, want 2", got)
 	}
 	c.Release(a)
-	if got := c.Refs(a); got != 1 {
+	if got := refCount(c, a); got != 1 {
 		t.Fatalf("refs after release = %d, want 1", got)
 	}
 	c.Release(a)
-	if got := c.Refs(a); got != 0 {
+	if got := refCount(c, a); got != 0 {
 		t.Fatalf("refs after final release = %d, want 0", got)
 	}
 	// The content is gone: re-interning allocates fresh.
@@ -182,10 +182,10 @@ func TestPageCachePrivatizeCopiesAndDetaches(t *testing.T) {
 	if !bytes.Equal(got, pageFilled(0xCC)) {
 		t.Error("write to private copy leaked into the shared page")
 	}
-	if got := c.Refs(shared); got != 1 {
+	if got := refCount(c, shared); got != 1 {
 		t.Errorf("shared refs after privatize = %d, want 1", got)
 	}
-	if got := c.Refs(private); got != 0 {
+	if got := refCount(c, private); got != 0 {
 		t.Errorf("private page is tracked by the cache (refs %d)", got)
 	}
 	if _, err := c.Privatize(private); err == nil {
@@ -291,7 +291,7 @@ func TestInternHintMatchesIntern(t *testing.T) {
 			if slices.Contains(private, hint) {
 				return "private"
 			}
-			if hinted.Refs(hint) == 0 {
+			if refCount(hinted, hint) == 0 {
 				return "freed"
 			}
 			page, _ := hinted.host.ReadSlice(hint, PageSize)
@@ -329,7 +329,7 @@ func TestInternHintMatchesIntern(t *testing.T) {
 				held = slices.Delete(held, i, i+1)
 				plain.Release(hpa)
 				hinted.Release(hpa)
-				if hinted.Refs(hpa) == 0 {
+				if refCount(hinted, hpa) == 0 {
 					freed[hpa] = true
 				}
 			case r < 9: // privatize a held reference
@@ -341,7 +341,7 @@ func TestInternHintMatchesIntern(t *testing.T) {
 				if errA != nil || errB != nil || a != b {
 					t.Fatalf("seed %d op %d: Privatize(%#x) = %#x, %v vs %#x, %v", seed, op, hpa, a, errA, b, errB)
 				}
-				if hinted.Refs(hpa) == 0 {
+				if refCount(hinted, hpa) == 0 {
 					freed[hpa] = true
 				}
 				private = append(private, a)
@@ -366,4 +366,13 @@ func TestInternHintMatchesIntern(t *testing.T) {
 		}
 		t.Logf("seed %d hints: %v", seed, kinds)
 	}
+}
+
+// refCount returns the live reference count of a cached page (0 if
+// untracked).
+func refCount(c *PageCache, hpa uint32) int {
+	if e, ok := c.entries[hpa]; ok {
+		return e.refs
+	}
+	return 0
 }

@@ -111,9 +111,6 @@ func (p *Profiler) onBlock(ctx hv.ExecContext, start, end uint32) {
 	target.Insert(space, s, e)
 }
 
-// InterruptView returns the session's interrupt-context ranges.
-func (p *Profiler) InterruptView() *kview.View { return p.irq }
-
 // ViewFor exports the kernel view configuration for a tracked pid: the
 // application's ranges merged with the session's interrupt-context ranges.
 func (p *Profiler) ViewFor(pid int) (*kview.View, bool) {

@@ -100,7 +100,7 @@ func TestProfileInterruptContextShared(t *testing.T) {
 		{Nr: kernel.SysGetpid, UserWork: 300000},
 		{Nr: kernel.SysGetpid, UserWork: 300000},
 	})
-	irq := p.InterruptView()
+	irq := p.irq
 	if irq.Size() == 0 {
 		t.Fatal("no interrupt-context code recorded despite timer interrupts")
 	}

@@ -99,9 +99,6 @@ type Config struct {
 	// Telemetry charges no simulated cycles, so digests are identical with
 	// and without it.
 	NoTelemetry bool
-	// TelemetryRing overrides the per-vCPU ring capacity (default
-	// telemetry.DefaultRingSize).
-	TelemetryRing int
 	// Sinks are extra telemetry sinks appended after the built-in ones
 	// (counting sink, aggregator, detection engine) — cmd/fcmon attaches a
 	// JSONL writer here. Ignored under NoTelemetry.
@@ -315,7 +312,7 @@ type simTelemetry struct {
 	ud2Traps   uint64 // KindUD2Trap events seen
 }
 
-func newSimTelemetry(cpus, ringSize int, extra []telemetry.Sink, rt *core.Runtime, evolveOn, splitOn bool) (*simTelemetry, error) {
+func newSimTelemetry(cpus int, extra []telemetry.Sink, rt *core.Runtime, evolveOn, splitOn bool) (*simTelemetry, error) {
 	t := &simTelemetry{
 		agg: telemetry.NewAggregator(0),
 		eng: detect.New(detect.Config{}),
@@ -361,9 +358,8 @@ func newSimTelemetry(cpus, ringSize int, extra []telemetry.Sink, rt *core.Runtim
 	}
 	sinks = append(sinks, extra...)
 	t.hub = telemetry.NewHub(telemetry.HubConfig{
-		CPUs:     cpus,
-		RingSize: ringSize,
-		Sinks:    sinks,
+		CPUs:  cpus,
+		Sinks: sinks,
 	})
 	return t, nil
 }
@@ -409,7 +405,7 @@ func New(cfg Config) (*Simulator, error) {
 		// goroutine), so the event stream stays deterministic and every
 		// check sees a fully flushed pipeline — promotions cut by the
 		// evolution loop land at those same deterministic points.
-		tel, err = newSimTelemetry(cfg.CPUs, cfg.TelemetryRing, cfg.Sinks, rt, cfg.Evolve, cfg.SharedCoreAdaptive)
+		tel, err = newSimTelemetry(cfg.CPUs, cfg.Sinks, rt, cfg.Evolve, cfg.SharedCoreAdaptive)
 		if err != nil {
 			return nil, fmt.Errorf("sim: attach evolution loop: %w", err)
 		}
@@ -596,7 +592,7 @@ func (s *Simulator) checkTelemetry() error {
 	}
 	s.tel.hub.Drain()
 	if d := s.tel.hub.Drops(); d != 0 {
-		return fmt.Errorf("telemetry: %d ring drops (capacity %d)", d, s.cfg.TelemetryRing)
+		return fmt.Errorf("telemetry: %d ring drops (capacity %d)", d, telemetry.DefaultRingSize)
 	}
 	if s.tel.recoveries != s.rt.Recoveries {
 		return fmt.Errorf("telemetry: %d recovery events vs %d runtime recoveries", s.tel.recoveries, s.rt.Recoveries)

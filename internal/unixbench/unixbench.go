@@ -220,14 +220,3 @@ func Index(scores, baseline []Score) float64 {
 	}
 	return math.Exp(logSum / float64(n))
 }
-
-// Normalize returns per-subtest ratios vs. baseline.
-func Normalize(scores, baseline []Score) map[string]float64 {
-	out := make(map[string]float64, len(scores))
-	for i, s := range scores {
-		if i < len(baseline) && baseline[i].Score > 0 {
-			out[s.Name] = s.Score / baseline[i].Score
-		}
-	}
-	return out
-}

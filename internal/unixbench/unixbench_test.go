@@ -80,14 +80,6 @@ func TestIndexGeometricMean(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	base := []Score{{Name: "a", Score: 10}}
-	got := Normalize([]Score{{Name: "a", Score: 7}}, base)
-	if got["a"] != 0.7 {
-		t.Errorf("Normalize = %v", got)
-	}
-}
-
 func TestPipeContextSwitchingActuallySwitches(t *testing.T) {
 	k, err := kernel.New(kernel.Config{})
 	if err != nil {
