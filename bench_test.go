@@ -85,7 +85,7 @@ func BenchmarkTable2SecurityEvaluation(b *testing.B) {
 func BenchmarkFig6UnixBench(b *testing.B) {
 	t := table1(b)
 	for i := 0; i < b.N; i++ {
-		res, err := eval.RunFig6(t.Views, eval.Fig6Config{})
+		res, err := eval.RunFig6(t.Views)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func BenchmarkFig6UnixBench(b *testing.B) {
 func BenchmarkFig7ApacheIO(b *testing.B) {
 	t := table1(b)
 	for i := 0; i < b.N; i++ {
-		points, err := eval.RunFig7(t.Views["apache"], eval.Fig7Config{})
+		points, err := eval.RunFig7(t.Views["apache"])
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -111,7 +111,7 @@ func run() error {
 
 	if *fig6 {
 		fmt.Println("\n=== Figure 6: normalized UnixBench scores vs. number of loaded views ===")
-		res, err := eval.RunFig6(tab.Views, eval.Fig6Config{})
+		res, err := eval.RunFig6(tab.Views)
 		if err != nil {
 			return err
 		}
@@ -120,7 +120,7 @@ func run() error {
 
 	if *fig7 {
 		fmt.Println("\n=== Figure 7: Apache I/O throughput ratio (FACE-CHANGE / baseline) ===")
-		points, err := eval.RunFig7(tab.Views["apache"], eval.Fig7Config{})
+		points, err := eval.RunFig7(tab.Views["apache"])
 		if err != nil {
 			return err
 		}

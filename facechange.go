@@ -104,16 +104,6 @@ func Profile(app apps.App, cfg ProfileConfig) (*kview.View, error) {
 	return v, nil
 }
 
-// ProfileMerged profiles an application over several independent sessions
-// (distinct workload seeds) and merges the resulting views — the paper's
-// answer to the path-coverage problem: "it is difficult to ensure that all
-// code paths through an application are executed during profiling"
-// (Section III-A2). More sessions mean fewer benign recoveries at runtime.
-// Sessions run concurrently on a default Pool (one worker per CPU).
-func ProfileMerged(app apps.App, cfg ProfileConfig, seeds ...int64) (*kview.View, error) {
-	return NewPool(PoolConfig{}).ProfileMerged(app, cfg, seeds...)
-}
-
 // ProfileAll profiles every application in independent sessions and
 // returns the views keyed by name. Sessions run concurrently on a default
 // Pool (one worker per CPU); failures are aggregated per app in a
@@ -132,8 +122,6 @@ type VMConfig struct {
 	// ExtraModules compiles additional module images into the kernel
 	// (e.g. rootkits) without loading them.
 	ExtraModules []kernel.ModuleSpec
-	// KbdPeriod enables periodic keyboard interrupts when nonzero.
-	KbdPeriod uint64
 	// Options are the FACE-CHANGE design toggles (default: the paper's
 	// configuration).
 	Options *core.Options
@@ -145,14 +133,13 @@ type VM struct {
 	Runtime *core.Runtime
 }
 
-// NewVM boots a KVM-environment guest and attaches a (disabled)
-// FACE-CHANGE runtime.
+// NewVM boots a KVM-environment guest, without periodic keyboard
+// interrupts, and attaches a (disabled) FACE-CHANGE runtime.
 func NewVM(cfg VMConfig) (*VM, error) {
 	k, err := kernel.New(kernel.Config{
 		Clock:        kernel.ClockKVM,
 		NCPU:         cfg.NCPU,
 		ExtraModules: cfg.ExtraModules,
-		KbdPeriod:    cfg.KbdPeriod,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("facechange: new vm: %w", err)

@@ -247,7 +247,7 @@ func TestProfileMergedReducesRecoveries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := facechange.ProfileMerged(app, facechange.ProfileConfig{Syscalls: 250}, 1, 2, 3, 4)
+	merged, err := facechange.NewPool(facechange.PoolConfig{}).ProfileMerged(app, facechange.ProfileConfig{Syscalls: 250}, 1, 2, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

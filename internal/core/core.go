@@ -198,15 +198,15 @@ type Runtime struct {
 
 	// modCache holds the guest module list between VMI walks. A cached
 	// list is revalidated by a one-read count probe on every use; any walk
-	// that replaces it bumps modGen, invalidating symbolizations derived
+	// that replaces it clears symCache, dropping symbolizations derived
 	// from the superseded list.
 	modCache   []vmiModule
 	modCacheOK bool
-	modGen     uint64
 
 	// symCache memoizes Symbolize results by address, bounded by
-	// symCacheMax (cleared wholesale when full or when modGen advances),
-	// so trap storms do not re-resolve the same frames per backtrace.
+	// symCacheMax (cleared wholesale when full or when the module list
+	// changes), so trap storms do not re-resolve the same frames per
+	// backtrace.
 	symCache map[uint32]string
 
 	// arenas holds one recovery-scratch arena per vCPU (backtrace frames,
@@ -347,9 +347,6 @@ func (r *Runtime) Disable() {
 	}
 	r.enabled = false
 }
-
-// Enabled reports whether interception is active.
-func (r *Runtime) Enabled() bool { return r.enabled }
 
 // CacheStats reports the shadow-page cache's dedup state: distinct pages
 // stored, page mappings served without a copy, and bytes saved.
@@ -519,7 +516,7 @@ func (r *Runtime) readModules(cpu *hv.CPU) ([]vmiModule, error) {
 		return nil, err
 	}
 	r.modCache, r.modCacheOK = mods, true
-	r.bumpModGen()
+	clear(r.symCache) // symbolizations of the superseded list are stale
 	return mods, nil
 }
 
@@ -574,13 +571,6 @@ func (r *Runtime) InvalidateModuleCache() {
 
 func (r *Runtime) invalidateModules() {
 	r.modCache, r.modCacheOK = nil, false
-	r.bumpModGen()
-}
-
-// bumpModGen advances the module-list generation. Symbolizations derived
-// from the superseded list are stale, so the symbol cache goes with it.
-func (r *Runtime) bumpModGen() {
-	r.modGen++
 	clear(r.symCache)
 }
 
@@ -608,7 +598,7 @@ func (r *Runtime) Symbolize(cpu *hv.CPU, addr uint32) string {
 // symbolize is the locked-context implementation. Results are memoized:
 // text symbolizations are immutable; module symbolizations are only
 // consulted after readModules revalidates the module list (a list change
-// bumps modGen, which clears the cache), so a cached module symbol is
+// clears the cache), so a cached module symbol is
 // never served across guest module churn.
 func (r *Runtime) symbolize(cpu *hv.CPU, addr uint32) string {
 	if addr >= mem.KernelTextGVA && addr < mem.KernelTextGVA+r.textSize {

@@ -18,9 +18,6 @@ func (r *Runtime) LoadedIndices() []int { return slices.Clone(r.live) }
 // TextSize returns the base kernel text size the runtime shadows.
 func (r *Runtime) TextSize() uint32 { return r.textSize }
 
-// Opts returns the runtime's option set (fixed at construction).
-func (r *Runtime) Opts() Options { return r.opts }
-
 // SharedPageSet returns a copy of the view's cache-shared page set (GPA
 // pages whose shadow HPA is an immutable cache page).
 func (v *LoadedView) SharedPageSet() map[uint32]bool {

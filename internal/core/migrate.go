@@ -80,12 +80,6 @@ type FrozenView struct {
 	thawed       bool
 }
 
-// Index returns the frozen view's index in the source runtime.
-func (f *FrozenView) Index() int { return f.idx }
-
-// Apps returns the application names that were bound to the view.
-func (f *FrozenView) Apps() []string { return append([]string(nil), f.apps...) }
-
 // FreezeApp quiesces the view bound to an application name for migration:
 // every vCPU running it reverts to the full kernel view (an infallible
 // identity restore), pending deferred switches targeting it resolve to the

@@ -56,8 +56,8 @@ func TestFreezeThawRestoresExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Index() != idx || len(f.Apps()) != 1 || f.Apps()[0] != "webapp" {
-		t.Fatalf("frozen handle: idx=%d apps=%v", f.Index(), f.Apps())
+	if f.idx != idx || len(f.apps) != 1 || f.apps[0] != "webapp" {
+		t.Fatalf("frozen handle: idx=%d apps=%v", f.idx, f.apps)
 	}
 	if got := rt.ViewIndex("webapp"); got != FullView {
 		t.Fatalf("binding survives freeze: %d", got)

@@ -7,7 +7,7 @@ import (
 
 // TestModuleListCacheProbe pins the charged VMI cost of repeated module
 // symbolization: the first lookup pays the full list walk, every repeat
-// pays exactly one count-probe read.
+// pays exactly one count-probe read and keeps the symbol cache.
 func TestModuleListCacheProbe(t *testing.T) {
 	rig := newSwitchRig(t, 1, DefaultOptions(), "af_packet")
 	cpu := rig.k.M.CPUs[0]
@@ -29,7 +29,8 @@ func TestModuleListCacheProbe(t *testing.T) {
 		t.Errorf("first module symbolization charged %d cycles, want full walk %d", walkCost, want)
 	}
 
-	gen := rig.rt.modGen
+	text := textFuncs(t, rig.k)[0]
+	rig.rt.Symbolize(cpu, text.Addr) // an entry only a cache clear removes
 	cached, probeCost := symbolizeCost()
 	if cached != first {
 		t.Errorf("cached symbolization %q differs from first %q", cached, first)
@@ -37,14 +38,14 @@ func TestModuleListCacheProbe(t *testing.T) {
 	if probeCost != cost.VMIRead {
 		t.Errorf("repeat symbolization charged %d cycles, want exactly one probe read %d", probeCost, cost.VMIRead)
 	}
-	if rig.rt.modGen != gen {
-		t.Error("cache-served symbolization advanced the module generation")
+	if _, ok := rig.rt.symCache[text.Addr]; !ok {
+		t.Error("cache-served symbolization cleared the symbol cache")
 	}
 }
 
 // TestModuleCacheCountChange: guest module churn changes the list count,
-// so the probe misses, the walk re-runs, and symbols derived from the old
-// list are re-resolved against the new one.
+// so the probe misses, the walk re-runs, the symbol cache is cleared, and
+// symbols derived from the old list are re-resolved against the new one.
 func TestModuleCacheCountChange(t *testing.T) {
 	rig := newSwitchRig(t, 1, DefaultOptions(), "af_packet")
 	cpu := rig.k.M.CPUs[0]
@@ -52,7 +53,6 @@ func TestModuleCacheCountChange(t *testing.T) {
 
 	fnA := moduleFunc(t, rig.k, "af_packet")
 	rig.rt.Symbolize(cpu, fnA.Addr) // warm the cache (count = 1)
-	gen := rig.rt.modGen
 
 	if _, err := rig.k.LoadModule("snd"); err != nil {
 		t.Fatal(err)
@@ -67,8 +67,8 @@ func TestModuleCacheCountChange(t *testing.T) {
 	if want := uint64(1+3*2) * cost.VMIRead; delta != want {
 		t.Errorf("post-churn symbolization charged %d cycles, want fresh 2-entry walk %d", delta, want)
 	}
-	if rig.rt.modGen == gen {
-		t.Error("module churn did not advance the cache generation")
+	if _, ok := rig.rt.symCache[fnA.Addr]; ok {
+		t.Error("module churn did not clear the symbol cache")
 	}
 
 	// Hiding a module shrinks the guest-visible list: the probe misses
@@ -91,10 +91,9 @@ func TestInvalidateModuleCache(t *testing.T) {
 	fn := moduleFunc(t, rig.k, "af_packet")
 	rig.rt.Symbolize(cpu, fn.Addr) // warm
 
-	gen := rig.rt.modGen
 	rig.rt.InvalidateModuleCache()
-	if rig.rt.modGen == gen {
-		t.Error("InvalidateModuleCache did not advance the generation")
+	if n := len(rig.rt.symCache); n != 0 {
+		t.Errorf("InvalidateModuleCache left %d symbolizations cached", n)
 	}
 
 	before := rig.k.M.Cycles()

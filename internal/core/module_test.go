@@ -116,12 +116,12 @@ func TestEnableDisableIdempotent(t *testing.T) {
 	_, rt := runtimeMachine(t, nil, DefaultOptions())
 	rt.Enable()
 	rt.Enable()
-	if !rt.Enabled() {
+	if !rt.enabled {
 		t.Fatal("not enabled")
 	}
 	rt.Disable()
 	rt.Disable()
-	if rt.Enabled() {
+	if rt.enabled {
 		t.Fatal("still enabled")
 	}
 }

@@ -108,26 +108,26 @@ type Config struct {
 	// clean runs are known to recover. A recovery by a baselined app of a
 	// function outside its set classifies as ClassSuspicious.
 	Baselines map[string]map[string]bool
-	// WindowCycles is the rate-scoring sliding window in simulated cycles
-	// (default 200e6).
-	WindowCycles uint64
-	// RateThreshold is the suspicious-recovery count per window that
+	// windowCycles is the rate-scoring sliding window in simulated
+	// cycles (default 200e6).
+	windowCycles uint64
+	// rateThreshold is the suspicious-recovery count per window that
 	// raises a rate anomaly (default 16).
-	RateThreshold int
-	// MaxVerdicts bounds retained verdicts; beyond it new verdicts are
+	rateThreshold int
+	// maxVerdicts bounds retained verdicts; beyond it new verdicts are
 	// still counted but not stored (default 4096).
-	MaxVerdicts int
+	maxVerdicts int
 }
 
 func (c *Config) defaults() {
-	if c.WindowCycles == 0 {
-		c.WindowCycles = 200_000_000
+	if c.windowCycles == 0 {
+		c.windowCycles = 200_000_000
 	}
-	if c.RateThreshold <= 0 {
-		c.RateThreshold = 16
+	if c.rateThreshold <= 0 {
+		c.rateThreshold = 16
 	}
-	if c.MaxVerdicts <= 0 {
-		c.MaxVerdicts = 4096
+	if c.maxVerdicts <= 0 {
+		c.maxVerdicts = 4096
 	}
 }
 
@@ -263,7 +263,7 @@ func (e *Engine) HandleEvent(ev telemetry.Event) {
 			View: ev.View, Addr: ev.Addr, Fn: ev.Fn,
 			Score: score,
 			Reason: fmt.Sprintf("%d suspicious recoveries within %d cycles (threshold %d)",
-				len(app.window), e.cfg.WindowCycles, e.cfg.RateThreshold),
+				len(app.window), e.cfg.windowCycles, e.cfg.rateThreshold),
 		})
 	}
 }
@@ -300,28 +300,28 @@ func (e *Engine) reason(class Class, ev telemetry.Event) string {
 	}
 }
 
-// updateScore prunes the app's window to cfg.WindowCycles behind now and
+// updateScore prunes the app's window to cfg.windowCycles behind now and
 // returns the current score. A drained window rearms the rate alert.
 func (e *Engine) updateScore(app *appState, now uint64) float64 {
 	var cut uint64
-	if now > e.cfg.WindowCycles {
-		cut = now - e.cfg.WindowCycles
+	if now > e.cfg.windowCycles {
+		cut = now - e.cfg.windowCycles
 	}
 	i := 0
 	for i < len(app.window) && app.window[i] < cut {
 		i++
 	}
 	app.window = app.window[i:]
-	if len(app.window) < e.cfg.RateThreshold {
+	if len(app.window) < e.cfg.rateThreshold {
 		app.alerted = false
 	}
-	app.st.Score = float64(len(app.window)) / float64(e.cfg.RateThreshold)
+	app.st.Score = float64(len(app.window)) / float64(e.cfg.rateThreshold)
 	return app.st.Score
 }
 
 func (e *Engine) record(v Verdict) {
 	e.st.Verdicts++
-	if len(e.verdicts) >= e.cfg.MaxVerdicts {
+	if len(e.verdicts) >= e.cfg.maxVerdicts {
 		e.st.VerdictsDropped++
 		return
 	}

@@ -99,7 +99,7 @@ func TestVerdictsOnlyForSuspectClasses(t *testing.T) {
 }
 
 func TestRateAnomalyWindow(t *testing.T) {
-	e := New(Config{WindowCycles: 1000, RateThreshold: 3})
+	e := New(Config{windowCycles: 1000, rateThreshold: 3})
 	// Three unknown-origin recoveries inside one window → one rate verdict
 	// on top of the three unknown verdicts.
 	for i := uint64(0); i < 3; i++ {
@@ -127,7 +127,7 @@ func TestRateAnomalyWindow(t *testing.T) {
 }
 
 func TestSparseSuspectsNoRateAnomaly(t *testing.T) {
-	e := New(Config{WindowCycles: 100, RateThreshold: 3})
+	e := New(Config{windowCycles: 100, rateThreshold: 3})
 	for i := uint64(0); i < 10; i++ {
 		e.HandleEvent(rec("slow", "UNKNOWN", i*1000, nil)) // one per 10 windows
 	}
@@ -141,7 +141,7 @@ func TestSparseSuspectsNoRateAnomaly(t *testing.T) {
 }
 
 func TestVerdictRetentionCap(t *testing.T) {
-	e := New(Config{MaxVerdicts: 2})
+	e := New(Config{maxVerdicts: 2})
 	for i := uint64(0); i < 5; i++ {
 		e.HandleEvent(rec("mal", "UNKNOWN", i, nil))
 	}

@@ -39,7 +39,6 @@ type DetectionResult struct {
 // evaluated online), then the infected run streams through a hub into the
 // engine.
 func RunDetection(views map[string]*kview.View, cfg Table2Config) ([]DetectionResult, error) {
-	cfg.defaults()
 	var out []DetectionResult
 	for _, a := range malware.Catalog() {
 		res, err := RunAttackDetection(a, views, cfg)
@@ -55,7 +54,6 @@ func RunDetection(views map[string]*kview.View, cfg Table2Config) ([]DetectionRe
 // through the pipeline. Extra sinks (e.g. a JSONL writer) see the infected
 // run's event stream alongside the engine.
 func RunAttackDetection(a malware.Attack, views map[string]*kview.View, cfg Table2Config, extra ...telemetry.Sink) (DetectionResult, error) {
-	cfg.defaults()
 	view, ok := views[a.Victim]
 	if !ok {
 		return DetectionResult{}, fmt.Errorf("no profiled view for victim %q", a.Victim)
@@ -84,7 +82,6 @@ func RunAttackDetection(a malware.Attack, views map[string]*kview.View, cfg Tabl
 // clean-run baseline — the false-positive control: a benign app must
 // produce zero suspected-attack verdicts.
 func runCleanDetection(a malware.Attack, views map[string]*kview.View, cfg Table2Config) (DetectionResult, error) {
-	cfg.defaults()
 	view, ok := views[a.Victim]
 	if !ok {
 		return DetectionResult{}, fmt.Errorf("no profiled view for victim %q", a.Victim)

@@ -65,7 +65,7 @@ func TestSharedCoreDecomposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core, bySub, err := SharedCore(tab)
+	core, bySub, err := sharedCore(tab)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,66 +16,19 @@ import (
 	"facechange/internal/telemetry"
 )
 
-// EvolutionConfig controls the online view-evolution harnesses: the
-// convergence soak (runConvergence) and the Table II safety soak
-// (runEvolutionSafety).
-type EvolutionConfig struct {
-	// App is the convergence workload application (default "top").
-	App string
-	// Epochs is the number of workload sessions the convergence soak runs
-	// (default 5). Each epoch boots a fresh VM on the latest generation.
-	Epochs int
-	// ProfileCalls truncates the profiling workload seeding generation 0
-	// (default 40) — an incomplete profile, so the early epochs pay the
-	// recovery tax the evolution loop exists to retire.
-	ProfileCalls int
-	// Calls is the per-epoch workload length in system calls (default
-	// 260).
-	Calls int
-	// Seed drives every workload (default 1).
-	Seed int64
-	// Budget bounds each session in simulated cycles (default 4e9).
-	Budget uint64
-	// MinHits and MinWindows are the evolver's hysteresis thresholds
-	// (defaults 2 and 2: a span must recover in two distinct sessions or
-	// windows before promotion).
-	MinHits, MinWindows int
-	// WindowCycles is the evolver's stream window (default 50e6).
-	WindowCycles uint64
-}
+// The convergence soak's constants: it replays top over 5 epochs, and its
+// evolver promotes a span once it has recovered twice, in 2 distinct
+// stream windows of 50e6 cycles.
+const (
+	convergenceApp          = "top"
+	convergenceEpochs       = 5
+	convergenceMinHits      = 2
+	convergenceMinWindows   = 2
+	convergenceWindowCycles = 50_000_000
+)
 
-func (c *EvolutionConfig) defaults() {
-	if c.App == "" {
-		c.App = "top"
-	}
-	if c.Epochs == 0 {
-		c.Epochs = 5
-	}
-	if c.ProfileCalls == 0 {
-		c.ProfileCalls = 40
-	}
-	if c.Calls == 0 {
-		c.Calls = 260
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Budget == 0 {
-		c.Budget = 4_000_000_000
-	}
-	if c.MinHits == 0 {
-		c.MinHits = 2
-	}
-	if c.MinWindows == 0 {
-		c.MinWindows = 2
-	}
-	if c.WindowCycles == 0 {
-		c.WindowCycles = 50_000_000
-	}
-}
-
-// EpochResult is one convergence-soak session.
-type EpochResult struct {
+// epochResult is one convergence-soak session.
+type epochResult struct {
 	Epoch int
 	// Gen is the workload's view generation entering the epoch.
 	Gen uint64
@@ -92,17 +45,17 @@ type EpochResult struct {
 	TextPct      float64
 }
 
-// ConvergenceResult is the convergence soak's outcome.
-type ConvergenceResult struct {
+// convergenceResult is the convergence soak's outcome.
+type convergenceResult struct {
 	App    string
-	Epochs []EpochResult
+	Epochs []epochResult
 	// Generations is the evolver's full cut history.
 	Generations []evolve.Generation
 	Stats       evolve.Stats
 }
 
-// Format renders the soak as a per-epoch table.
-func (r *ConvergenceResult) Format() string {
+// format renders the soak as a per-epoch table.
+func (r *convergenceResult) format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "convergence: %s\n", r.App)
 	fmt.Fprintf(&b, "%-6s %-4s %-10s %-10s %-6s %-12s %s\n",
@@ -153,15 +106,15 @@ func (p *hotplugPublisher) publish(app string, gen uint64, v *kview.View) error 
 // with the evolution loop promoting the recoveries of earlier sessions.
 // With an incomplete seed profile the early epochs recover steadily; once
 // the hysteresis threshold is crossed the recovered spans ship as new
-// generations and the recovery rate decays toward zero.
-func runConvergence(cfg EvolutionConfig) (*ConvergenceResult, error) {
-	cfg.defaults()
-	app, ok := apps.ByName(cfg.App)
-	if !ok {
-		return nil, fmt.Errorf("eval: unknown app %q", cfg.App)
-	}
+// generations and the recovery rate decays toward zero. profileCalls
+// truncates the profiling workload seeding generation 0 (an incomplete
+// profile, so the early epochs pay the recovery tax the evolution loop
+// exists to retire); calls is each epoch's workload length in system
+// calls.
+func runConvergence(profileCalls, calls int) (*convergenceResult, error) {
+	app, _ := apps.ByName(convergenceApp)
 	seedView, err := facechange.Profile(app, facechange.ProfileConfig{
-		Syscalls: cfg.ProfileCalls, Seed: cfg.Seed, Budget: cfg.Budget,
+		Syscalls: profileCalls, Seed: scenarioSeed, Budget: scenarioBudget,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("eval: seed profile: %w", err)
@@ -169,9 +122,9 @@ func runConvergence(cfg EvolutionConfig) (*ConvergenceResult, error) {
 
 	pub := &hotplugPublisher{}
 	var evo *evolve.Evolver // built on first boot (needs the text size)
-	res := &ConvergenceResult{App: cfg.App}
+	res := &convergenceResult{App: convergenceApp}
 
-	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
+	for epoch := 1; epoch <= convergenceEpochs; epoch++ {
 		vm, err := facechange.NewVM(facechange.VMConfig{})
 		if err != nil {
 			return nil, fmt.Errorf("eval: epoch %d: %w", epoch, err)
@@ -179,10 +132,10 @@ func runConvergence(cfg EvolutionConfig) (*ConvergenceResult, error) {
 		if evo == nil {
 			evo, err = evolve.New(evolve.Config{
 				Detector:     detect.New(detect.Config{}),
-				Views:        map[string]*kview.View{cfg.App: seedView},
-				MinHits:      cfg.MinHits,
-				MinWindows:   cfg.MinWindows,
-				WindowCycles: cfg.WindowCycles,
+				Views:        map[string]*kview.View{convergenceApp: seedView},
+				MinHits:      convergenceMinHits,
+				MinWindows:   convergenceMinWindows,
+				WindowCycles: convergenceWindowCycles,
 				TextSize:     vm.Kernel.Img.TextSize(),
 				Publish:      pub.publish,
 			})
@@ -192,23 +145,23 @@ func runConvergence(cfg EvolutionConfig) (*ConvergenceResult, error) {
 		}
 		pub.attach(vm.Runtime)
 
-		view, gen := evo.View(cfg.App)
+		view, gen := evo.View(convergenceApp)
 		hub := telemetry.NewHub(telemetry.HubConfig{Sinks: []telemetry.Sink{evo}})
 		vm.Runtime.SetEmitter(hub)
 		idx, err := vm.LoadView(view)
 		if err != nil {
 			return nil, fmt.Errorf("eval: epoch %d load gen %d: %w", epoch, gen, err)
 		}
-		if err := vm.Runtime.AssignView(cfg.App, idx); err != nil {
+		if err := vm.Runtime.AssignView(convergenceApp, idx); err != nil {
 			return nil, err
 		}
 		vm.Runtime.Enable()
 
-		task := vm.StartApp(app, cfg.Seed, cfg.Calls)
+		task := vm.StartApp(app, scenarioSeed, calls)
 		before := len(evo.Generations())
 		// Drain at every interrupt boundary: the evolution loop runs live
 		// inside the session, and mid-epoch cuts hot-plug into this VM.
-		err = vm.Run(cfg.Budget, func() bool {
+		err = vm.Run(scenarioBudget, func() bool {
 			hub.Drain()
 			return task.State == kernel.TaskDead
 		})
@@ -226,13 +179,13 @@ func runConvergence(cfg EvolutionConfig) (*ConvergenceResult, error) {
 		var appRecov, recov int
 		for _, ev := range vm.Runtime.Log() {
 			recov++
-			if ev.Comm == cfg.App && !ev.Interrupt {
+			if ev.Comm == convergenceApp && !ev.Interrupt {
 				appRecov++
 			}
 		}
 		st := evo.Stats()
-		as := st.Apps[cfg.App]
-		res.Epochs = append(res.Epochs, EpochResult{
+		as := st.Apps[convergenceApp]
+		res.Epochs = append(res.Epochs, epochResult{
 			Epoch:         epoch,
 			Gen:           gen,
 			AppRecoveries: appRecov,
@@ -247,8 +200,8 @@ func runConvergence(cfg EvolutionConfig) (*ConvergenceResult, error) {
 	return res, nil
 }
 
-// SafetyResult is one attack replayed through the live evolution loop.
-type SafetyResult struct {
+// safetyResult is one attack replayed through the live evolution loop.
+type safetyResult struct {
 	Attack malware.Attack
 	// Flagged reports whether the detection engine raised a suspect
 	// verdict — the 16/16 detection property must survive evolution.
@@ -270,9 +223,8 @@ type SafetyResult struct {
 // every window edge): the strongest configuration for the safety claim
 // that verdict gating — not hysteresis — is what keeps attack evidence out
 // of promoted views.
-func runEvolutionSafety(views map[string]*kview.View, cfg Table2Config) ([]SafetyResult, error) {
-	cfg.defaults()
-	var out []SafetyResult
+func runEvolutionSafety(views map[string]*kview.View, cfg Table2Config) ([]safetyResult, error) {
+	var out []safetyResult
 	for _, a := range malware.Catalog() {
 		r, err := runAttackEvolution(a, views, cfg)
 		if err != nil {
@@ -283,14 +235,14 @@ func runEvolutionSafety(views map[string]*kview.View, cfg Table2Config) ([]Safet
 	return out, nil
 }
 
-func runAttackEvolution(a malware.Attack, views map[string]*kview.View, cfg Table2Config) (SafetyResult, error) {
+func runAttackEvolution(a malware.Attack, views map[string]*kview.View, cfg Table2Config) (safetyResult, error) {
 	view, ok := views[a.Victim]
 	if !ok {
-		return SafetyResult{}, fmt.Errorf("no profiled view for victim %q", a.Victim)
+		return safetyResult{}, fmt.Errorf("no profiled view for victim %q", a.Victim)
 	}
 	baseline, err := cleanBaseline(a, view, cfg)
 	if err != nil {
-		return SafetyResult{}, fmt.Errorf("baseline: %w", err)
+		return safetyResult{}, fmt.Errorf("baseline: %w", err)
 	}
 	eng := detect.New(detect.Config{
 		Baselines: map[string]map[string]bool{a.Victim: baseline},
@@ -301,7 +253,7 @@ func runAttackEvolution(a malware.Attack, views map[string]*kview.View, cfg Tabl
 		ExtraModules: a.ExtraModules(),
 	})
 	if err != nil {
-		return SafetyResult{}, err
+		return safetyResult{}, err
 	}
 	evo, err := evolve.New(evolve.Config{
 		Detector:     eng,
@@ -313,41 +265,41 @@ func runAttackEvolution(a malware.Attack, views map[string]*kview.View, cfg Tabl
 		Publish:      evolve.PublishToRuntime(vm.Runtime),
 	})
 	if err != nil {
-		return SafetyResult{}, err
+		return safetyResult{}, err
 	}
 	hub := telemetry.NewHub(telemetry.HubConfig{Sinks: []telemetry.Sink{eng, evo}})
 	vm.Runtime.SetEmitter(hub)
 
 	if a.IsRootkit() {
 		if err := a.InstallRootkit(vm.Kernel); err != nil {
-			return SafetyResult{}, err
+			return safetyResult{}, err
 		}
 	}
 	idx, err := vm.LoadView(view)
 	if err != nil {
-		return SafetyResult{}, err
+		return safetyResult{}, err
 	}
 	if err := vm.Runtime.AssignView(a.Victim, idx); err != nil {
-		return SafetyResult{}, err
+		return safetyResult{}, err
 	}
 	vm.Runtime.Enable()
-	task, err := startInfected(a, vm.Kernel, cfg)
+	task, err := startInfected(a, vm.Kernel)
 	if err != nil {
-		return SafetyResult{}, err
+		return safetyResult{}, err
 	}
 	// Live loop: drain at every interrupt boundary so promotions cut and
 	// hot-plug while the infected workload runs.
-	if err := vm.Run(cfg.Budget, func() bool {
+	if err := vm.Run(scenarioBudget, func() bool {
 		hub.Drain()
 		return task.State == kernel.TaskDead
 	}); err != nil {
-		return SafetyResult{}, err
+		return safetyResult{}, err
 	}
 	if task.State != kernel.TaskDead {
-		return SafetyResult{}, fmt.Errorf("victim %s did not finish", a.Victim)
+		return safetyResult{}, fmt.Errorf("victim %s did not finish", a.Victim)
 	}
 	if err := hub.Close(); err != nil {
-		return SafetyResult{}, err
+		return safetyResult{}, err
 	}
 	evo.AdvanceAll()
 
@@ -360,7 +312,7 @@ func runAttackEvolution(a malware.Attack, views map[string]*kview.View, cfg Tabl
 			attackPromoted = true
 		}
 	}
-	return SafetyResult{
+	return safetyResult{
 		Attack:         a,
 		Flagged:        st.Suspicious() > 0,
 		Promotions:     est.Generations,
@@ -371,7 +323,7 @@ func runAttackEvolution(a malware.Attack, views map[string]*kview.View, cfg Tabl
 }
 
 // formatEvolutionSafety renders the safety soak like Table II.
-func formatEvolutionSafety(results []SafetyResult) string {
+func formatEvolutionSafety(results []safetyResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-14s %-9s %-6s %-7s %s\n", "Name", "Flagged", "Cuts", "Denied", "AttackPromoted")
 	for _, r := range results {

@@ -15,11 +15,11 @@ import (
 // generations it falls below 1% of the generation-0 rate (which, at this
 // population, means zero).
 func TestConvergencePin(t *testing.T) {
-	r, err := runConvergence(EvolutionConfig{ProfileCalls: 8, Calls: 400})
+	r, err := runConvergence(8, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("\n%s", r.Format())
+	t.Logf("\n%s", r.format())
 	writeEvolveArtifact(t, "convergence.json", r)
 
 	if n := len(r.Epochs); n != 5 {

@@ -5,25 +5,14 @@ import (
 	"strings"
 
 	"facechange"
-	"facechange/internal/core"
 	"facechange/internal/kernel"
 	"facechange/internal/kview"
 	"facechange/internal/unixbench"
 )
 
-// Fig6Config controls the UnixBench experiment.
-type Fig6Config struct {
-	// Budget is the per-subtest simulated cycle budget (default 3e6).
-	Budget uint64
-	// Options overrides the FACE-CHANGE configuration (default: paper).
-	Options *core.Options
-}
-
-func (c *Fig6Config) defaults() {
-	if c.Budget == 0 {
-		c.Budget = 6_000_000
-	}
-}
+// fig6Budget is each UnixBench subtest's simulated cycle budget:
+// 6 000 000 cycles.
+const fig6Budget = 6_000_000
 
 // Fig6Result is the normalized-UnixBench sweep of Figure 6.
 type Fig6Result struct {
@@ -57,9 +46,9 @@ func quiescentScript() kernel.Script {
 
 // RunFig6 measures UnixBench without FACE-CHANGE (baseline), then with
 // FACE-CHANGE enabled while loading the applications' kernel views one at
-// a time (measurements ii and iii of Section IV-B1).
-func RunFig6(views map[string]*kview.View, cfg Fig6Config) (*Fig6Result, error) {
-	cfg.defaults()
+// a time (measurements ii and iii of Section IV-B1), with the paper's
+// FACE-CHANGE options.
+func RunFig6(views map[string]*kview.View) (*Fig6Result, error) {
 	order := Fig6ViewOrder()
 	subtests := unixbench.Subtests()
 
@@ -71,7 +60,7 @@ func RunFig6(views map[string]*kview.View, cfg Fig6Config) (*Fig6Result, error) 
 	runConfig := func(nviews int) ([]unixbench.Score, error) {
 		var scores []unixbench.Score
 		for _, st := range subtests {
-			vm, err := facechange.NewVM(facechange.VMConfig{Options: cfg.Options})
+			vm, err := facechange.NewVM(facechange.VMConfig{})
 			if err != nil {
 				return nil, err
 			}
@@ -96,7 +85,7 @@ func RunFig6(views map[string]*kview.View, cfg Fig6Config) (*Fig6Result, error) 
 					return nil, err
 				}
 			}
-			s, err := unixbench.Run(vm.Kernel, st, cfg.Budget)
+			s, err := unixbench.Run(vm.Kernel, st, fig6Budget)
 			if err != nil {
 				return nil, err
 			}

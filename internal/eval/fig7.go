@@ -5,33 +5,12 @@ import (
 	"strings"
 
 	"facechange"
-	"facechange/internal/core"
 	"facechange/internal/httpload"
 	"facechange/internal/kview"
 )
 
-// Fig7Config controls the Apache I/O experiment.
-type Fig7Config struct {
-	// Rates are the offered request rates (default 5..60 step 5, the
-	// paper's sweep).
-	Rates []float64
-	// Seconds is the measurement duration per point in simulated seconds
-	// (default 3).
-	Seconds float64
-	// Options overrides the FACE-CHANGE configuration.
-	Options *core.Options
-}
-
-func (c *Fig7Config) defaults() {
-	if len(c.Rates) == 0 {
-		for r := 5.0; r <= 60; r += 5 {
-			c.Rates = append(c.Rates, r)
-		}
-	}
-	if c.Seconds == 0 {
-		c.Seconds = 6
-	}
-}
+// fig7Seconds is each rate point's measurement time: 6 simulated seconds.
+const fig7Seconds = 6
 
 // Fig7Point is one rate measurement.
 type Fig7Point struct {
@@ -43,12 +22,12 @@ type Fig7Point struct {
 	Ratio float64
 }
 
-// RunFig7 sweeps the request rate against Apache with and without
-// FACE-CHANGE enforcing Apache's kernel view.
-func RunFig7(apacheView *kview.View, cfg Fig7Config) ([]Fig7Point, error) {
-	cfg.defaults()
+// RunFig7 sweeps the paper's offered request rates, 5 to 60 req/s in steps
+// of 5, against Apache with and without FACE-CHANGE (the paper's options)
+// enforcing Apache's kernel view.
+func RunFig7(apacheView *kview.View) ([]Fig7Point, error) {
 	measure := func(rate float64, enforce bool) (float64, error) {
-		vm, err := facechange.NewVM(facechange.VMConfig{Options: cfg.Options})
+		vm, err := facechange.NewVM(facechange.VMConfig{})
 		if err != nil {
 			return 0, err
 		}
@@ -63,14 +42,14 @@ func RunFig7(apacheView *kview.View, cfg Fig7Config) ([]Fig7Point, error) {
 		if err := vm.Run(httpload.CyclesPerSecond/2, nil); err != nil {
 			return 0, err
 		}
-		res, err := httpload.Run(vm.Kernel, servers, rate, cfg.Seconds)
+		res, err := httpload.Run(vm.Kernel, servers, rate, fig7Seconds)
 		if err != nil {
 			return 0, err
 		}
 		return res.ServedRPS, nil
 	}
 	var out []Fig7Point
-	for _, rate := range cfg.Rates {
+	for rate := 5.0; rate <= 60; rate += 5 {
 		base, err := measure(rate, false)
 		if err != nil {
 			return nil, fmt.Errorf("eval fig7 baseline @%v: %w", rate, err)

@@ -30,7 +30,7 @@ func TestFig6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full UnixBench sweep")
 	}
-	res, err := RunFig6(fig6Views(t), Fig6Config{})
+	res, err := RunFig6(fig6Views(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestFig7Shape(t *testing.T) {
 		t.Skip("full rate sweep")
 	}
 	app := fig6Views(t)["apache"]
-	points, err := RunFig7(app, Fig7Config{})
+	points, err := RunFig7(app)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,6 +26,10 @@ import (
 	"facechange/internal/telemetry"
 )
 
+// fleetBudget bounds each fleet node's runtime phase: 2e9 simulated
+// cycles.
+const fleetBudget = 2_000_000_000
+
 // FleetConfig parameterizes RunFleet.
 type FleetConfig struct {
 	// Nodes is the fleet size (default 4).
@@ -37,9 +41,6 @@ type FleetConfig struct {
 	Profile facechange.ProfileConfig
 	// Syscalls bounds each node's runtime workload (default 150).
 	Syscalls int
-	// Budget bounds each node's runtime phase in simulated cycles
-	// (default 2e9).
-	Budget uint64
 	// Hub is the central telemetry hub. One is created (and started) when
 	// nil; either way RunFleet does not close it — the caller may keep
 	// serving /metrics from it after the run.
@@ -75,9 +76,6 @@ func (c *FleetConfig) defaults() {
 	}
 	if c.Syscalls <= 0 {
 		c.Syscalls = 150
-	}
-	if c.Budget == 0 {
-		c.Budget = 2_000_000_000
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -371,7 +369,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		go func(seed int64) {
 			m.vm.Runtime.Enable()
 			m.vm.StartApp(m.app, seed, cfg.Syscalls)
-			errs <- m.vm.RunUntilDead(cfg.Budget)
+			errs <- m.vm.RunUntilDead(fleetBudget)
 		}(int64(i) + 1)
 	}
 	if killed != "" {

@@ -8,7 +8,7 @@ import (
 	"facechange/internal/profiler"
 )
 
-// SharedCore computes the intersection of every profiled view — the kernel
+// sharedCore computes the intersection of every profiled view — the kernel
 // code that all applications need — and decomposes it by subsystem. It
 // substantiates Section II's observation that "besides common system call
 // execution paths, the overlapping kernel code also consists of
@@ -17,7 +17,7 @@ import (
 //
 // The kernel image generation is deterministic, so a freshly built symbol
 // table matches the profiling machines'.
-func SharedCore(t *Table1) (*kview.View, map[string]uint64, error) {
+func sharedCore(t *Table1) (*kview.View, map[string]uint64, error) {
 	if len(t.Apps) == 0 {
 		return nil, nil, fmt.Errorf("eval: empty table")
 	}

@@ -14,15 +14,18 @@ import (
 	"facechange/internal/telemetry"
 )
 
-// Table2Config controls the security evaluation.
+// The scenarios' constants: every workload runs on seed 1 and each run is
+// bounded at 4e9 simulated cycles; a Table II victim runs 220 system
+// calls.
+const (
+	scenarioSeed      = 1
+	scenarioBudget    = 4_000_000_000
+	table2VictimCalls = 220
+)
+
+// Table2Config selects the runtime policy of the security evaluation;
+// the zero value is the paper's.
 type Table2Config struct {
-	// Seed drives the victim workloads (default 1).
-	Seed int64
-	// VictimCalls is the host workload length in system calls (default
-	// 220).
-	VictimCalls int
-	// Budget bounds each run in simulated cycles (default 4e9).
-	Budget uint64
 	// SharedCore enables the shared-core runtime policy
 	// (core.Options.SharedCore) on every scenario VM. Merged views change
 	// what a vCPU exposes, but verdicts attribute per app, so detection
@@ -35,18 +38,6 @@ type Table2Config struct {
 	// the policy trades exposure for switch rate, never verdicts. Implies
 	// SharedCore.
 	SharedCoreAdaptive bool
-}
-
-func (c *Table2Config) defaults() {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.VictimCalls == 0 {
-		c.VictimCalls = 220
-	}
-	if c.Budget == 0 {
-		c.Budget = 4_000_000_000
-	}
 }
 
 // AttackResult is one Table II row, extended with the union-view
@@ -74,7 +65,6 @@ type AttackResult struct {
 // RunTable2 evaluates every attack in the catalog against per-application
 // views and against the union view.
 func RunTable2(views map[string]*kview.View, union *kview.View, cfg Table2Config) ([]AttackResult, error) {
-	cfg.defaults()
 	var out []AttackResult
 	for _, a := range malware.Catalog() {
 		res, err := runAttack(a, views, union, cfg)
@@ -180,7 +170,7 @@ func runScenarioEmit(a malware.Attack, view *kview.View, infected bool, cfg Tabl
 
 	var task *kernel.Task
 	if infected {
-		task, err = startInfected(a, vm.Kernel, cfg)
+		task, err = startInfected(a, vm.Kernel)
 	} else {
 		app, ok := apps.ByName(a.Victim)
 		if !ok {
@@ -188,14 +178,14 @@ func runScenarioEmit(a malware.Attack, view *kview.View, infected bool, cfg Tabl
 		}
 		task = vm.Kernel.StartTask(kernel.TaskSpec{
 			Name:   a.Victim,
-			Script: apps.Limit(app.Script(cfg.Seed), cfg.VictimCalls),
+			Script: apps.Limit(app.Script(scenarioSeed), table2VictimCalls),
 		})
 		task.SignalScript = apps.DefaultSignalScript()
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := vm.Run(cfg.Budget, func() bool { return task.State == kernel.TaskDead }); err != nil {
+	if err := vm.Run(scenarioBudget, func() bool { return task.State == kernel.TaskDead }); err != nil {
 		return nil, nil, err
 	}
 	if task.State != kernel.TaskDead {
@@ -208,8 +198,8 @@ func runScenarioEmit(a malware.Attack, view *kview.View, infected bool, cfg Tabl
 	return names, vm.Runtime.Log(), nil
 }
 
-func startInfected(a malware.Attack, k *kernel.Kernel, cfg Table2Config) (*kernel.Task, error) {
-	s, err := a.VictimScript(cfg.Seed, cfg.VictimCalls)
+func startInfected(a malware.Attack, k *kernel.Kernel) (*kernel.Task, error) {
+	s, err := a.VictimScript(scenarioSeed, table2VictimCalls)
 	if err != nil {
 		return nil, err
 	}

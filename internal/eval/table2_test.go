@@ -88,7 +88,6 @@ func runTable2SharedCore(t *testing.T, cfg Table2Config, label string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.defaults()
 	for _, a := range malware.Catalog() {
 		view, ok := tab.Views[a.Victim]
 		if !ok {

@@ -67,14 +67,12 @@ type Config struct {
 	// TextSize is the base kernel text size, for the %-of-text attack-
 	// surface metric (0 disables the bound check and the percentage).
 	TextSize uint32
-	// MaxGenerations caps promotions per application (default 64) — a
+	// maxGenerations caps promotions per application (default 64) — a
 	// runaway-workload backstop, not a tuning knob.
-	MaxGenerations int
+	maxGenerations int
 	// Publish ships each cut generation. Nil: generations only accumulate
 	// in the history (View returns the latest).
 	Publish PublishFunc
-	// Logf, when set, receives one line per cut generation.
-	Logf func(format string, args ...any)
 }
 
 func (c *Config) defaults() {
@@ -90,8 +88,8 @@ func (c *Config) defaults() {
 	if c.WindowCycles == 0 {
 		c.WindowCycles = 50_000_000
 	}
-	if c.MaxGenerations <= 0 {
-		c.MaxGenerations = 64
+	if c.maxGenerations <= 0 {
+		c.maxGenerations = 64
 	}
 }
 
@@ -206,7 +204,7 @@ type Stats struct {
 	// per-app counters.
 	Eligible, Denied, DeniedHits, PendingPurged uint64
 	// Crossed counts hysteresis crossings; Generations cut generations;
-	// Suppressed crossings discarded at the MaxGenerations cap.
+	// Suppressed crossings discarded at the maxGenerations cap.
 	Crossed, Generations, Suppressed uint64
 	// PromotedRanges and PromotedBytes total across all generations.
 	PromotedRanges, PromotedBytes uint64
@@ -371,7 +369,7 @@ func (e *Evolver) HandleEvent(ev telemetry.Event) {
 	if c.hits >= e.cfg.MinHits && len(c.windows) >= e.cfg.MinWindows {
 		delete(a.cands, span)
 		e.st.Crossed++
-		if a.gen >= uint64(e.cfg.MaxGenerations) {
+		if a.gen >= uint64(e.cfg.maxGenerations) {
 			e.st.Suppressed++
 			return
 		}
@@ -425,10 +423,6 @@ func (e *Evolver) cut(a *appEvo, cycle uint64) {
 	a.st.PromotedBytes += grown
 	a.st.BytesExposed = g.BytesExposed
 	a.st.TextPct = g.TextPct
-	if e.cfg.Logf != nil {
-		e.cfg.Logf("evolve: %s gen %d: +%d ranges (+%dB), %dB exposed (%.1f%% of text)",
-			a.name, a.gen, nranges, grown, g.BytesExposed, 100*g.TextPct)
-	}
 }
 
 // AdvanceAll force-cuts every application's pending promotions — the epoch

@@ -226,7 +226,7 @@ func TestSeedViewGrowsNotReplaced(t *testing.T) {
 }
 
 func TestMaxGenerationsSuppresses(t *testing.T) {
-	e := newEvolver(t, Config{MinHits: 1, MinWindows: 1, WindowCycles: 100, MaxGenerations: 2})
+	e := newEvolver(t, Config{MinHits: 1, MinWindows: 1, WindowCycles: 100, maxGenerations: 2})
 	for i := uint32(0); i < 5; i++ {
 		e.HandleEvent(rec("top", uint64(10+i*200), 0x1000+i*0x100, 0x40, "good_fn"))
 	}

@@ -52,7 +52,6 @@ func TestGenerationRaceWithSwitchStormAndFleetSync(t *testing.T) {
 		Runtime:       rt2,
 		Backoff:       fleet.BackoffConfig{Base: time.Millisecond, Max: 20 * time.Millisecond},
 		FlushInterval: 2 * time.Millisecond,
-		ReadTimeout:   2 * time.Second,
 	})
 	node.Start()
 	defer node.Close()

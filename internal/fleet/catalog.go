@@ -283,17 +283,6 @@ func (c *Catalog) Chunk(h Hash) ([]byte, bool) {
 	return e.data, true
 }
 
-// View returns the stored configuration for a view name.
-func (c *Catalog) View(name string) (*kview.View, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.views[name]
-	if !ok {
-		return nil, false
-	}
-	return v.cfg, true
-}
-
 // AssembleView reassembles and decodes a view from chunk bytes fetched by
 // get, verifying the manifest's digest before decoding — a node never
 // loads a view whose bytes do not hash to what the catalog promised.

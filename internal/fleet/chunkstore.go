@@ -146,13 +146,6 @@ func (s *ChunkStore) Unref(h Hash) {
 	}
 }
 
-// Len returns the number of resident chunks.
-func (s *ChunkStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
 // DupPuts counts Puts of already-resident chunks — bytes downloaded that
 // delta sync should have saved. Zero across a shard failover is the
 // "resume from interned chunks, never re-download" proof.

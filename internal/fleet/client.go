@@ -35,9 +35,9 @@ type NodeConfig struct {
 	// (and UnloadView on removal or replacement), and its telemetry is
 	// relayed to the server.
 	Runtime *core.Runtime
-	// ReadTimeout bounds each handshake or request round trip (default 5s).
-	// The idle wait for push notices is unbounded.
-	ReadTimeout time.Duration
+	// readTimeout bounds each handshake or request round trip (default
+	// 5s). The idle wait for push notices is unbounded.
+	readTimeout time.Duration
 	// Backoff shapes the reconnect schedule.
 	Backoff BackoffConfig
 	// FlushInterval paces telemetry relay batches (default 50ms).
@@ -154,8 +154,8 @@ type Node struct {
 // NewNode creates a node. When cfg.Runtime is set, the runtime's telemetry
 // emitter is pointed at the node's relay buffer.
 func NewNode(cfg NodeConfig) *Node {
-	if cfg.ReadTimeout <= 0 {
-		cfg.ReadTimeout = 5 * time.Second
+	if cfg.readTimeout <= 0 {
+		cfg.readTimeout = 5 * time.Second
 	}
 	if cfg.FlushInterval <= 0 {
 		cfg.FlushInterval = 50 * time.Millisecond
@@ -442,7 +442,7 @@ func (n *Node) session(raw net.Conn) error {
 			}
 		}
 	}()
-	serverID, manifest, err := clientHandshake(conn, n.cfg.ID, n.cfg.ReadTimeout)
+	serverID, manifest, err := clientHandshake(conn, n.cfg.ID, n.cfg.readTimeout)
 	if err != nil {
 		return err
 	}
@@ -773,9 +773,9 @@ func (s *session) write(typ byte, payload []byte) error {
 }
 
 // await reads frames until one of the wanted type arrives, stashing push
-// notices that interleave with the response. Bounded by ReadTimeout.
+// notices that interleave with the response. Bounded by readTimeout.
 func (s *session) await(want byte) (frame, error) {
-	timer := time.NewTimer(s.node.cfg.ReadTimeout)
+	timer := time.NewTimer(s.node.cfg.readTimeout)
 	defer timer.Stop()
 	for {
 		select {

@@ -51,16 +51,14 @@ import (
 const ProtoVersion = 2
 
 // BackoffConfig shapes a node's reconnect schedule: exponential from Base
-// to Max with uniform jitter in [0, step) added to each delay, so a fleet
+// to Max with uniform jitter in [0, step) added to each delay. The jitter
+// is seeded from the node ID, so it is deterministic per node and a fleet
 // of nodes losing the same server does not reconnect in lockstep.
 type BackoffConfig struct {
 	// Base is the first retry delay (default 20ms).
 	Base time.Duration
 	// Max caps the exponential growth (default 2s).
 	Max time.Duration
-	// Seed makes the jitter sequence deterministic (0 seeds from the node
-	// ID so distinct nodes still jitter apart).
-	Seed int64
 }
 
 func (b *BackoffConfig) defaults() {
@@ -81,13 +79,11 @@ type backoff struct {
 
 func newBackoff(cfg BackoffConfig, id string) *backoff {
 	cfg.defaults()
-	seed := cfg.Seed
-	if seed == 0 {
-		for _, c := range id {
-			seed = seed*131 + int64(c)
-		}
-		seed++
+	var seed int64
+	for _, c := range id {
+		seed = seed*131 + int64(c)
 	}
+	seed++
 	return &backoff{cfg: cfg, rng: rand.New(rand.NewSource(seed)), next: cfg.Base}
 }
 

@@ -37,7 +37,7 @@ func fastCfg(id string, srv *Server, store *ChunkStore) NodeConfig {
 		Store:         store,
 		Backoff:       BackoffConfig{Base: time.Millisecond, Max: 20 * time.Millisecond},
 		FlushInterval: 2 * time.Millisecond,
-		ReadTimeout:   2 * time.Second,
+		readTimeout:   2 * time.Second,
 	}
 }
 
@@ -99,11 +99,11 @@ func TestChunkStoreRefPutUnref(t *testing.T) {
 		t.Fatal("ref of absent chunk succeeded")
 	}
 	s.Unref(h)
-	if s.Len() != 1 {
+	if len(s.entries) != 1 {
 		t.Fatal("chunk freed while referenced")
 	}
 	s.Unref(h)
-	if s.Len() != 0 {
+	if len(s.entries) != 0 {
 		t.Fatal("chunk survived last unref")
 	}
 }
@@ -222,7 +222,7 @@ func TestHotPushAppliesToRuntime(t *testing.T) {
 	}
 
 	// Removal reverts the app to the full kernel view.
-	if !srv.Remove("tool") {
+	if !srv.remove("tool") {
 		t.Fatal("remove failed")
 	}
 	if err := n.WaitDigest(srv.Catalog().Manifest().DigestString(), waitFor); err != nil {
@@ -433,7 +433,7 @@ func TestFleetSoak(t *testing.T) {
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
-		srv.Remove("app-4")
+		srv.remove("app-4")
 	}()
 
 	// Telemetry: every node emits a fixed number of events. The returned
@@ -648,7 +648,7 @@ func TestBackoffResetsOnlyAfterCompleteSync(t *testing.T) {
 		Dial:          dial,
 		Backoff:       BackoffConfig{Base: base, Max: max},
 		FlushInterval: 2 * time.Millisecond,
-		ReadTimeout:   2 * time.Second,
+		readTimeout:   2 * time.Second,
 	})
 	n.Start()
 	defer n.Close()

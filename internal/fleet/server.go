@@ -26,8 +26,6 @@ type ServerConfig struct {
 	// ID identifies this server to clients (the HelloAck carries it so a
 	// re-homing node can tell shards apart). Default "server".
 	ID string
-	// Catalog is the canonical view catalog (a fresh one when nil).
-	Catalog *Catalog
 	// Hub, when non-nil, receives every node's relayed telemetry stream,
 	// stamped with the node's identity — the fleet-wide event pipeline
 	// (or, on a shard member, the shard-local one).
@@ -82,20 +80,17 @@ type Server struct {
 	migrateFails  atomic.Uint64
 }
 
-// NewServer creates a server.
+// NewServer creates a server with an empty catalog.
 func NewServer(cfg ServerConfig) *Server {
 	if cfg.ID == "" {
 		cfg.ID = "server"
-	}
-	if cfg.Catalog == nil {
-		cfg.Catalog = NewCatalog()
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	return &Server{
 		id:       cfg.ID,
-		catalog:  cfg.Catalog,
+		catalog:  NewCatalog(),
 		hub:      cfg.Hub,
 		shardMap: cfg.ShardMap,
 		relay:    cfg.Relay,
@@ -104,9 +99,6 @@ func NewServer(cfg ServerConfig) *Server {
 		conns:    make(map[*serverConn]struct{}),
 	}
 }
-
-// ID returns the server's identity as carried in HelloAcks.
-func (s *Server) ID() string { return s.id }
 
 // Catalog returns the server's catalog.
 func (s *Server) Catalog() *Catalog { return s.catalog }
@@ -125,8 +117,8 @@ func (s *Server) Publish(v *kview.View) error {
 	return nil
 }
 
-// Remove unregisters a view and pushes the change.
-func (s *Server) Remove(name string) bool {
+// remove unregisters a view and pushes the change.
+func (s *Server) remove(name string) bool {
 	gen, ok := s.catalog.Remove(name)
 	if ok {
 		s.notifyAll(gen)

@@ -26,7 +26,6 @@ type Homing struct {
 	ring  *Ring
 	seeds []string
 	home  string // shard of the last successful dial
-	moves uint64 // dials that landed somewhere other than the previous home
 }
 
 // NewHoming creates a homing dialer for one node. seeds is the initial
@@ -80,9 +79,6 @@ func (h *Homing) Dial() (net.Conn, error) {
 			continue
 		}
 		h.mu.Lock()
-		if h.home != "" && h.home != id {
-			h.moves++
-		}
 		h.home = id
 		h.mu.Unlock()
 		return conn, nil

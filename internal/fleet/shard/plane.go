@@ -23,10 +23,9 @@ type PlaneConfig struct {
 	// listen address ("127.0.0.1:0" when empty; the bound address is
 	// written back and gossiped — the ring hashes IDs only, so ephemeral
 	// ports never move ownership).
+	// The first shard by ID is the telemetry aggregation point; it cannot
+	// be killed.
 	Shards []fleet.ShardInfo
-	// Aggregator is the shard designated as the telemetry aggregation
-	// point (first shard by ID when empty). It cannot be killed.
-	Aggregator string
 	// Hub receives the fleet-wide telemetry stream at the aggregator. A
 	// plane-owned hub (started, closed with the plane) is created when
 	// nil.
@@ -141,13 +140,7 @@ func NewPlane(cfg PlaneConfig) (*Plane, error) {
 		ids = append(ids, si.ID)
 	}
 	sort.Strings(ids)
-	p.agg = cfg.Aggregator
-	if p.agg == "" {
-		p.agg = ids[0]
-	}
-	if _, ok := p.members[p.agg]; !ok {
-		return nil, errShard("aggregator %q is not a shard", p.agg)
-	}
+	p.agg = ids[0]
 	p.hub = cfg.Hub
 	if p.hub == nil {
 		p.hub = telemetry.NewHub(telemetry.HubConfig{CPUs: 1, RingSize: 1 << 15})
@@ -193,18 +186,8 @@ func (p *Plane) Map() fleet.ShardMap {
 	return p.mapLocked()
 }
 
-// Epoch returns the current topology epoch.
-func (p *Plane) Epoch() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.epoch
-}
-
 // Aggregator returns the aggregator shard's ID.
 func (p *Plane) Aggregator() string { return p.agg }
-
-// Hub returns the fleet-wide telemetry hub at the aggregation point.
-func (p *Plane) Hub() *telemetry.Hub { return p.hub }
 
 // Member returns a shard member by ID (killed members included, for
 // post-mortem inspection).
@@ -818,9 +801,6 @@ func (m *Member) ID() string { return m.info.ID }
 // Server returns the member's control-plane server.
 func (m *Member) Server() *fleet.Server { return m.srv }
 
-// Store returns the member's chunk store (shared by its mirror nodes).
-func (m *Member) Store() *fleet.ChunkStore { return m.store }
-
 // QueueLen returns the depth of the member's relay queue (0 on the
 // aggregator).
 func (m *Member) QueueLen() int {
@@ -828,13 +808,4 @@ func (m *Member) QueueLen() int {
 		return 0
 	}
 	return m.queue.Len()
-}
-
-// RelayedEvents returns the cumulative events appended to the member's
-// relay queue (0 on the aggregator).
-func (m *Member) RelayedEvents() uint64 {
-	if m.queue == nil {
-		return 0
-	}
-	return m.queue.Events()
 }

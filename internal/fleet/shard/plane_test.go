@@ -88,7 +88,7 @@ func TestPlaneNodeSync(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if m, ok := n.ShardMap(); ok && m.Epoch == p.Epoch() {
+		if m, ok := n.ShardMap(); ok && m.Epoch == p.Map().Epoch {
 			if len(m.Shards) != 3 {
 				t.Fatalf("gossiped map has %d shards, want 3", len(m.Shards))
 			}
@@ -109,7 +109,7 @@ func TestPlaneNodeSync(t *testing.T) {
 // per-server generation counters (the v2 serverID suspends the stale
 // guard), and later publishes still reach it.
 func TestPlaneFailover(t *testing.T) {
-	p, err := NewPlane(PlaneConfig{Shards: testShards(), Aggregator: "s-a"})
+	p, err := NewPlane(PlaneConfig{Shards: testShards()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,9 +169,6 @@ func TestPlaneFailover(t *testing.T) {
 	if h.Home() == home {
 		t.Fatalf("node still homed on killed shard %q", home)
 	}
-	if moves(h) == 0 {
-		t.Fatal("homing recorded no re-home")
-	}
 	if st := n.Status(); st.Server == home || st.Server == "" {
 		t.Fatalf("last sync came from %q, want a survivor", st.Server)
 	}
@@ -193,7 +190,7 @@ func TestPlaneTelemetryRelay(t *testing.T) {
 		sink.mu <- struct{}{}
 	})
 	hub := telemetry.NewHub(telemetry.HubConfig{CPUs: 1, RingSize: 1 << 14, Sinks: []telemetry.Sink{sinkFunc(handle)}})
-	p, err := NewPlane(PlaneConfig{Shards: testShards(), Aggregator: "s-a", Hub: hub})
+	p, err := NewPlane(PlaneConfig{Shards: testShards(), Hub: hub})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +249,3 @@ func TestPlaneTelemetryRelay(t *testing.T) {
 type sinkFunc telemetry.EmitterFunc
 
 func (f sinkFunc) HandleEvent(ev telemetry.Event) { telemetry.EmitterFunc(f)(ev) }
-
-// moves reads the homing's re-home count: successful dials that landed on
-// a different shard than the previous one.
-func moves(h *Homing) uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.moves
-}

@@ -83,9 +83,6 @@ func keyHash(key []byte) uint64 {
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
-// Shards returns the distinct shard IDs on the ring, sorted.
-func (r *Ring) Shards() []string { return append([]string(nil), r.shards...) }
-
 // succ returns the index of the first point at or after h, wrapping.
 func (r *Ring) succ(h uint64) int {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })

@@ -61,9 +61,8 @@ func TestShardSoak(t *testing.T) {
 	defer hub.Close()
 
 	p, err := NewPlane(PlaneConfig{
-		Shards:     []fleet.ShardInfo{{ID: "s-a"}, {ID: "s-b"}, {ID: "s-c"}},
-		Aggregator: "s-a",
-		Hub:        hub,
+		Shards: []fleet.ShardInfo{{ID: "s-a"}, {ID: "s-b"}, {ID: "s-c"}},
+		Hub:    hub,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,6 +136,7 @@ func TestShardSoak(t *testing.T) {
 	}()
 
 	// Kill a non-aggregator shard mid-churn, while drivers are emitting.
+	preKill := BuildRing(p.Map())
 	time.Sleep(20 * time.Millisecond)
 	if err := p.Kill("s-b"); err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestShardSoak(t *testing.T) {
 
 	// Gossip convergence: every node holds the post-kill epoch and a map
 	// without the dead shard.
-	epoch := p.Epoch()
+	epoch := p.Map().Epoch
 	for i, n := range ns {
 		m, ok := n.ShardMap()
 		if !ok || m.Epoch != epoch {
@@ -232,18 +232,19 @@ func TestShardSoak(t *testing.T) {
 		}
 	}
 
-	// The killed shard's nodes actually moved.
+	// The killed shard's nodes left it: no node is homed there, and some
+	// had their ring home on it.
 	moved := 0
 	for i := range homers {
-		if moves(homers[i]) > 0 {
+		if homers[i].Home() == "s-b" {
+			t.Fatalf("node-%03d still homed on the killed shard", i)
+		}
+		if preKill.Walk(fmt.Sprintf("node-%03d", i))[0] == "s-b" {
 			moved++
-			if homers[i].Home() == "s-b" {
-				t.Fatalf("node-%03d re-homed onto the killed shard", i)
-			}
 		}
 	}
 	if moved == 0 {
-		t.Fatal("no node re-homed — the kill hit an empty shard?")
+		t.Fatal("no node was homed on the killed shard — the kill hit an empty shard?")
 	}
 	t.Logf("soak: %d nodes, %d events, %d re-homed, epoch %d, digest %s", nodes, total, moved, epoch, want)
 }

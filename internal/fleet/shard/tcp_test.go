@@ -20,9 +20,8 @@ import (
 // refused dials after a member's listener closes.
 func TestTCPTransportCrossHostLoopback(t *testing.T) {
 	p, err := NewPlane(PlaneConfig{
-		Shards:     testShards(),
-		Aggregator: "s-a",
-		Transport:  TCPTransport{DialTimeout: time.Second},
+		Shards:    testShards(),
+		Transport: TCPTransport{DialTimeout: time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -145,7 +145,7 @@ func scriptedNode(t *testing.T, rt *core.Runtime, cat *Catalog, initial Manifest
 		Runtime:       rt,
 		Backoff:       BackoffConfig{Base: time.Millisecond, Max: 20 * time.Millisecond},
 		FlushInterval: 2 * time.Millisecond,
-		ReadTimeout:   2 * time.Second,
+		readTimeout:   2 * time.Second,
 	}
 	n := NewNode(cfg)
 	n.Start()

@@ -48,9 +48,6 @@ type CPU struct {
 	// hints caches instruction-fetch page translations, direct mapped by
 	// GVA page. See fetchWindow.
 	hints [fetchHints]fetchHint
-
-	// Halted is set while the CPU waits for an interrupt.
-	Halted bool
 }
 
 // NewCPU creates a vCPU with its own identity-mapped EPT.
@@ -60,9 +57,6 @@ func NewCPU(id int, host *mem.Host) *CPU {
 
 // SetAddressSpace switches the CPU's active guest address space.
 func (c *CPU) SetAddressSpace(as *mem.AddressSpace) { c.as = as }
-
-// AddressSpace returns the CPU's active guest address space.
-func (c *CPU) AddressSpace() *mem.AddressSpace { return c.as }
 
 // Mem returns an accessor for guest virtual memory as seen by this CPU
 // right now (through its address space and EPT).

@@ -337,9 +337,6 @@ func (m *Machine) exec(cpu *CPU, in isa.Inst) (bool, error) {
 			}
 		}
 		cpu.EIP = next
-	case isa.OpMovEAXImm:
-		cpu.EAX = uint32(in.Imm)
-		cpu.EIP = next
 	case isa.OpCallInd:
 		m.Charge(m.Cost.CallInd)
 		target, err := m.OS.ResolveIndirect(cpu, uint32(in.Imm))
@@ -365,8 +362,6 @@ func (m *Machine) exec(cpu *CPU, in isa.Inst) (bool, error) {
 	case isa.OpHalt:
 		cpu.EIP = next
 		return true, m.OS.Halt(cpu)
-	case isa.OpWork:
-		cpu.EIP = next
 	default:
 		return false, fmt.Errorf("%w: unexecutable op %v", ErrMachineFault, in.Op)
 	}

@@ -303,16 +303,6 @@ func TestCyclesAdvancePerInstruction(t *testing.T) {
 	}
 }
 
-func TestMovEAXAndWork(t *testing.T) {
-	m, cpu, _ := testMachine(t, []byte{isa.ByteMovEAX, 0xEF, 0xBE, 0, 0, isa.ByteWork, isa.ByteHalt})
-	if err := m.runBlock(cpu); err != nil {
-		t.Fatal(err)
-	}
-	if cpu.EAX != 0xBEEF {
-		t.Fatalf("EAX = %#x", cpu.EAX)
-	}
-}
-
 func TestSaveLoadRegs(t *testing.T) {
 	host := mem.NewHost()
 	cpu := NewCPU(0, host)

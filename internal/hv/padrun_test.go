@@ -172,7 +172,7 @@ func TestPadRunsMatchStepping(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(step func(*Machine, *CPU) error) padRunResult {
 				m, cpu, _ := testMachine(t, nil)
-				gpa, err := cpu.AddressSpace().Translate(tc.gva)
+				gpa, err := cpu.as.Translate(tc.gva)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -70,12 +70,6 @@ func (a *Asm) CallInd(slot uint32) *Asm {
 	return a
 }
 
-// Int emits int imm8.
-func (a *Asm) Int(vector byte) *Asm {
-	a.buf = append(a.buf, ByteInt, vector)
-	return a
-}
-
 // Iret emits iret.
 func (a *Asm) Iret() *Asm {
 	a.buf = append(a.buf, ByteIret)

@@ -68,8 +68,6 @@ const (
 	OpInt
 	// OpIret is "iret" (0xCF): returns from interrupt/syscall to user mode.
 	OpIret
-	// OpMovEAXImm is "mov eax, imm32" (0xB8 imm32).
-	OpMovEAXImm
 	// OpCallInd is an indirect call through a kernel function-pointer table
 	// slot (0xFF imm32, modelling "call *table(,%eax,4)"). The machine
 	// resolves the slot to a concrete target at execution time; rootkits
@@ -81,8 +79,6 @@ const (
 	OpTaskSwitch
 	// OpHalt (0xF4) idles the CPU until the next interrupt.
 	OpHalt
-	// OpWork (0xF6) performs one abstract unit of user-space computation.
-	OpWork
 )
 
 // Encoding bytes shared with x86 where FACE-CHANGE depends on them.
@@ -105,11 +101,9 @@ const (
 	ByteOrAcc     = 0x0B
 	ByteInt       = 0xCD
 	ByteIret      = 0xCF
-	ByteMovEAX    = 0xB8
 	ByteCallInd   = 0xFF
 	ByteTaskSw    = 0xF5
 	ByteHalt      = 0xF4
-	ByteWork      = 0xF6
 )
 
 // Prologue is the byte signature of a function entry: push ebp; mov ebp, esp.
@@ -165,16 +159,12 @@ func (i Inst) String() string {
 		return fmt.Sprintf("int 0x%02x", byte(i.Imm))
 	case OpIret:
 		return "iret"
-	case OpMovEAXImm:
-		return fmt.Sprintf("mov eax, 0x%x", uint32(i.Imm))
 	case OpCallInd:
 		return fmt.Sprintf("call *slot(%d)", i.Imm)
 	case OpTaskSwitch:
 		return "taskswitch"
 	case OpHalt:
 		return "hlt"
-	case OpWork:
-		return "work"
 	default:
 		return "(invalid)"
 	}
@@ -252,11 +242,6 @@ func Decode(code []byte) Inst {
 		return Inst{Op: OpInt, Len: 2, Imm: int64(code[1])}
 	case ByteIret:
 		return Inst{Op: OpIret, Len: 1}
-	case ByteMovEAX:
-		if len(code) < 5 {
-			return Inst{Op: OpInvalid, Len: 1}
-		}
-		return Inst{Op: OpMovEAXImm, Len: 5, Imm: int64(le32(code[1:]))}
 	case ByteCallInd:
 		if len(code) < 5 {
 			return Inst{Op: OpInvalid, Len: 1}
@@ -266,8 +251,6 @@ func Decode(code []byte) Inst {
 		return Inst{Op: OpTaskSwitch, Len: 1}
 	case ByteHalt:
 		return Inst{Op: OpHalt, Len: 1}
-	case ByteWork:
-		return Inst{Op: OpWork, Len: 1}
 	default:
 		return Inst{Op: OpInvalid, Len: 1}
 	}

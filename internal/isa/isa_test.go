@@ -29,11 +29,9 @@ func TestDecodeSingleInstructions(t *testing.T) {
 		{"jmp short back", []byte{0xEB, 0xFE}, Inst{Op: OpJmpShort, Len: 2, Imm: -2}},
 		{"jz fwd", []byte{0x74, 0x10}, Inst{Op: OpJz, Len: 2, Imm: 16}},
 		{"jnz back", []byte{0x75, 0xF0}, Inst{Op: OpJnz, Len: 2, Imm: -16}},
-		{"mov eax imm", []byte{0xB8, 0x78, 0x56, 0x34, 0x12}, Inst{Op: OpMovEAXImm, Len: 5, Imm: 0x12345678}},
 		{"call ind", []byte{0xFF, 7, 0, 0, 0}, Inst{Op: OpCallInd, Len: 5, Imm: 7}},
 		{"taskswitch", []byte{0xF5}, Inst{Op: OpTaskSwitch, Len: 1}},
 		{"hlt", []byte{0xF4}, Inst{Op: OpHalt, Len: 1}},
-		{"work", []byte{0xF6}, Inst{Op: OpWork, Len: 1}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -230,7 +228,7 @@ func TestParityPairProperty(t *testing.T) {
 func TestInstStringCoverage(t *testing.T) {
 	ops := []Op{OpPushEBP, OpMovEBPESP, OpPopEBP, OpLeave, OpRet, OpCall, OpJmp,
 		OpJmpShort, OpJz, OpJnz, OpNop, OpNopL, OpUD2, OpOrAcc, OpInt, OpIret,
-		OpMovEAXImm, OpCallInd, OpTaskSwitch, OpHalt, OpWork, OpInvalid}
+		OpCallInd, OpTaskSwitch, OpHalt, OpInvalid}
 	for _, op := range ops {
 		if s := (Inst{Op: op, Imm: 1}).String(); s == "" {
 			t.Errorf("op %v has empty String()", op)

@@ -214,15 +214,6 @@ func emit(spec FnSpec) (*genFunc, error) {
 
 func alignUp(v, align uint32) uint32 { return (v + align - 1) &^ (align - 1) }
 
-// BuildImage generates the kernel from the base catalog and module specs.
-func BuildImage(base []FnSpec, modules []ModuleSpec) (*Image, error) {
-	b, err := buildBase(base)
-	if err != nil {
-		return nil, err
-	}
-	return b.withModules(modules)
-}
-
 var (
 	sharedOnce sync.Once
 	shared     *baseImage

@@ -16,3 +16,24 @@ func (img *Image) AllConds() map[uint32]CondKey {
 	}
 	return all
 }
+
+// BuildImage generates a kernel from base and module specs without the
+// process's shared base: the fresh compile that guests on the shared base
+// must equal.
+func BuildImage(base []FnSpec, modules []ModuleSpec) (*Image, error) {
+	b, err := buildBase(base)
+	if err != nil {
+		return nil, err
+	}
+	return b.withModules(modules)
+}
+
+// All returns every function, loaded or not, in unspecified order.
+func (st *SymbolTable) All() []*Func {
+	out := make([]*Func, 0, len(st.base.sorted)+len(st.modules))
+	out = append(out, st.base.sorted...)
+	for _, f := range st.modules {
+		out = append(out, f)
+	}
+	return out
+}

@@ -260,9 +260,6 @@ func (k *Kernel) SetNICRate(period uint64, fam SockFam) {
 	}
 }
 
-// Clock returns the active clocksource.
-func (k *Kernel) Clock() ClockSource { return k.clock }
-
 // Modules returns the loaded-module list (including hidden modules, which
 // guest-side VMI cannot see).
 func (k *Kernel) Modules() []ModuleInfo {

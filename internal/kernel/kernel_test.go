@@ -91,8 +91,8 @@ func TestModuleLink(t *testing.T) {
 	if !ok || f.Addr < mem.ModuleGVA {
 		t.Fatalf("packet_create not relocated: %+v", f)
 	}
-	if got := img.Symbols.Symbolize(f.Addr + 5); !strings.HasPrefix(got, "packet_create+") {
-		t.Errorf("Symbolize = %q", got)
+	if got, ok := img.Symbols.ByAddr(f.Addr + 5); !ok || got.Name != "packet_create" {
+		t.Errorf("ByAddr(packet_create+5) = %+v, %v", got, ok)
 	}
 	if _, err := img.LinkModule("af_packet", mem.ModuleGVA); err == nil {
 		t.Error("double link should fail")
@@ -104,8 +104,8 @@ func TestSymbolizeUnknown(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildImage: %v", err)
 	}
-	if got := img.Symbols.Symbolize(mem.ModuleGVA + 0x1234); got != "UNKNOWN" {
-		t.Errorf("Symbolize(unmapped module addr) = %q, want UNKNOWN", got)
+	if got, ok := img.Symbols.ByAddr(mem.ModuleGVA + 0x1234); ok {
+		t.Errorf("ByAddr(unmapped module addr) = %+v, want no function", got)
 	}
 }
 

@@ -87,26 +87,5 @@ func (st *SymbolTable) ByAddr(addr uint32) (*Func, bool) {
 	return f, true
 }
 
-// Symbolize formats addr the way the paper's logs do: "name+0xoff", or
-// "UNKNOWN" when the address is not inside any identified function —
-// exactly how hidden rootkit code shows up in Figure 5.
-func (st *SymbolTable) Symbolize(addr uint32) string {
-	f, ok := st.ByAddr(addr)
-	if !ok {
-		return "UNKNOWN"
-	}
-	return fmt.Sprintf("%s+0x%x", f.Name, addr-f.Addr)
-}
-
 // Funcs returns all functions with assigned addresses, ordered by address.
 func (st *SymbolTable) Funcs() []*Func { return st.sorted }
-
-// All returns every function, loaded or not, in unspecified order.
-func (st *SymbolTable) All() []*Func {
-	out := make([]*Func, 0, len(st.base.sorted)+len(st.modules))
-	out = append(out, st.base.sorted...)
-	for _, f := range st.modules {
-		out = append(out, f)
-	}
-	return out
-}

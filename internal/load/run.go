@@ -33,8 +33,6 @@ type RunConfig struct {
 	// Profile builds real profiled views (facechange.ProfileAll) instead
 	// of the default synthetic deterministic views.
 	Profile bool
-	// ProfileSyscalls bounds the profiling workload length (default 60).
-	ProfileSyscalls int
 	// Nodes switches to fleet mode: views are published to an in-process
 	// control-plane server and Nodes runtime VMs join, sync the catalog,
 	// and are driven through the fleet node API (overrides Runtimes).
@@ -67,9 +65,6 @@ func (c *RunConfig) defaults() error {
 	}
 	if c.Runtimes > len(c.Trace.Shares) {
 		c.Runtimes = len(c.Trace.Shares)
-	}
-	if c.ProfileSyscalls <= 0 {
-		c.ProfileSyscalls = 60
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -145,11 +140,11 @@ func buildSyntheticSpecs(syms *kernel.SymbolTable, textSize uint32, names []stri
 }
 
 // buildProfiledSpecs profiles the catalog applications for real
-// (facechange.ProfileAll) and derives each app's included/excluded pools
-// from the profiled view's base-kernel ranges.
-func buildProfiledSpecs(syms *kernel.SymbolTable, textSize uint32, list []apps.App, seed int64, syscalls int) ([]*appSpec, error) {
+// (facechange.ProfileAll, 60 system calls each) and derives each app's
+// included/excluded pools from the profiled view's base-kernel ranges.
+func buildProfiledSpecs(syms *kernel.SymbolTable, textSize uint32, list []apps.App, seed int64) ([]*appSpec, error) {
 	views, err := facechange.ProfileAll(list, facechange.ProfileConfig{
-		Syscalls: syscalls,
+		Syscalls: 60,
 		Seed:     seed,
 		Budget:   2_000_000_000,
 	})
@@ -538,7 +533,7 @@ func buildSpecs(cfg *RunConfig) ([]*appSpec, []string, error) {
 			modules = append(modules, m)
 		}
 		sort.Strings(modules)
-		specs, err := buildProfiledSpecs(k.Syms, k.Img.TextSize(), list, cfg.Trace.Cfg.Seed, cfg.ProfileSyscalls)
+		specs, err := buildProfiledSpecs(k.Syms, k.Img.TextSize(), list, cfg.Trace.Cfg.Seed)
 		return specs, modules, err
 	}
 	specs, err := buildSyntheticSpecs(k.Syms, k.Img.TextSize(), names, cfg.Trace.Cfg.Seed)

@@ -46,12 +46,6 @@ func (pt *PT) Set(idx int, hpaPage uint32) {
 	pt.present[idx] = true
 }
 
-// Clone returns a copy of the page table.
-func (pt *PT) Clone() *PT {
-	c := *pt
-	return &c
-}
-
 func pdIndex(gpa uint32) int { return int(gpa >> 22) }
 func ptIndex(gpa uint32) int { return int(gpa>>PageShift) & (ptEntries - 1) }
 
@@ -170,9 +164,6 @@ func (e *EPT) SetPD(gpa uint32, pt *PT) {
 	e.local.SetPD(gpa, pt)
 	e.pdSwaps++
 }
-
-// PD returns the PD entry covering gpa (nil = identity) in the live root.
-func (e *EPT) PD(gpa uint32) *PT { return e.active().PD(gpa) }
 
 // SetPTE remaps the single page containing gpa to hpaPage in the vCPU's
 // local root, materializing an identity PT for the region if needed. This

@@ -184,9 +184,9 @@ func (h *Host) LivePages() int {
 	return int((h.nextPage-uint32(len(h.ram)))/PageSize) - len(h.freelist)
 }
 
-// Size returns the host memory reserved so far in bytes: guest RAM plus
+// size returns the host memory reserved so far in bytes: guest RAM plus
 // every slab.
-func (h *Host) Size() int { return len(h.ram) + len(h.slabs)*slabBytes }
+func (h *Host) size() int { return len(h.ram) + len(h.slabs)*slabBytes }
 
 // Slice returns a live view of host memory [hpa, hpa+n), which must lie
 // inside guest RAM or inside one allocated shadow page. Host memory never

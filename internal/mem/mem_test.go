@@ -88,10 +88,10 @@ func TestHostU32RoundTrip(t *testing.T) {
 
 func TestHostOutOfRange(t *testing.T) {
 	h := NewHost()
-	if err := h.Read(uint32(h.Size()), make([]byte, 1)); err == nil {
+	if err := h.Read(uint32(h.size()), make([]byte, 1)); err == nil {
 		t.Error("read past end should fail")
 	}
-	if err := h.Write(uint32(h.Size()-1), make([]byte, 2)); err == nil {
+	if err := h.Write(uint32(h.size()-1), make([]byte, 2)); err == nil {
 		t.Error("write past end should fail")
 	}
 }
@@ -101,8 +101,8 @@ func TestHostGrowthPreservesContents(t *testing.T) {
 	if err := h.Write(100, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	initial := h.Size()
-	for h.Size() == initial {
+	initial := h.size()
+	for h.size() == initial {
 		h.AllocPage(nil)
 	}
 	got := make([]byte, 3)
@@ -379,7 +379,7 @@ func TestHostSliceAliasesMemory(t *testing.T) {
 	if b[0] != 0x7F {
 		t.Error("Slice does not alias host memory")
 	}
-	if _, err := h.Slice(uint32(h.Size()-1), 2); err == nil {
+	if _, err := h.Slice(uint32(h.size()-1), 2); err == nil {
 		t.Error("out-of-range slice must fail")
 	}
 }
@@ -422,7 +422,7 @@ func testFreelistReuse(t *testing.T, h *Host) {
 	if got := h.AllocPage(nil); got != a {
 		t.Errorf("second realloc = %#x, want recycled %#x", got, a)
 	}
-	size := h.Size()
+	size := h.size()
 
 	// Steady-state churn never grows host memory.
 	for i := 0; i < 10000; i++ {
@@ -431,8 +431,8 @@ func testFreelistReuse(t *testing.T, h *Host) {
 			t.Fatalf("churn iteration %d allocated %#x, want %#x", i, got, a)
 		}
 	}
-	if h.Size() != size {
-		t.Errorf("host memory grew %d → %d bytes under steady-state churn", size, h.Size())
+	if h.size() != size {
+		t.Errorf("host memory grew %d → %d bytes under steady-state churn", size, h.size())
 	}
 	if got := h.LivePages(); got != 2 {
 		t.Errorf("LivePages = %d after churn, want 2", got)

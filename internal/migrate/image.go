@@ -162,15 +162,6 @@ func spanLess(a, b evolve.Span) bool {
 	return a.End < b.End
 }
 
-// Digest pins the image: sha256 over its canonical encoding.
-func (im *Image) Digest() ([sha256.Size]byte, error) {
-	b, err := im.Encode()
-	if err != nil {
-		return [sha256.Size]byte{}, err
-	}
-	return sha256.Sum256(b), nil
-}
-
 // Decode parses a canonical image, rejecting any non-canonical or
 // truncated form (so encode(decode(b)) == b whenever decode accepts b).
 // The decoded deltas alias data — each Data is a window of the input —

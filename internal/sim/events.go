@@ -428,9 +428,9 @@ var poolApps = []string{"top", "gzip", "bash"}
 // and keeps the resulting views for later EvLoadView events. Pool sessions
 // boot their own kernels (no injector attached), so a failure here is a
 // real bug, not an injected fault. Rate-limited: at most one pool run per
-// PoolEvery steps.
+// poolEvery steps.
 func (s *Simulator) applyPoolProfile(ev Event) error {
-	if s.cfg.NoPool || (s.lastPool != 0 && s.step-s.lastPool < s.cfg.PoolEvery) {
+	if s.cfg.NoPool || (s.lastPool != 0 && s.step-s.lastPool < s.cfg.poolEvery) {
 		return nil
 	}
 	s.lastPool = s.step

@@ -65,7 +65,7 @@ func (s *Simulator) migTarget() (*core.Runtime, error) {
 		return nil, fmt.Errorf("sim: attach migration target runtime: %w", err)
 	}
 	rt.Enable()
-	s.migK, s.migRT = k, rt
+	s.migRT = rt
 	return rt, nil
 }
 

@@ -59,11 +59,11 @@ type Config struct {
 	// CheckEvery is the full-sweep cadence in steps (default 2000): byte
 	// isolation and recovery fidelity of every loaded view.
 	CheckEvery int
-	// LightEvery is the cadence of the cheap periodic checks (default 16):
-	// cache balance and sampled EPT agreement.
-	LightEvery int
-	// PoolEvery rate-limits pool-profiling events (default 2000 steps).
-	PoolEvery int
+	// lightEvery is the cadence of the cheap periodic checks (default
+	// 16): cache balance and sampled EPT agreement.
+	lightEvery int
+	// poolEvery rate-limits pool-profiling events (default 2000 steps).
+	poolEvery int
 	// NoPool disables pool-profiling events entirely.
 	NoPool bool
 	// LegacySwitch drives the runtime with the paper's per-entry EPT
@@ -138,11 +138,11 @@ func (c *Config) defaults() {
 	if c.CheckEvery <= 0 {
 		c.CheckEvery = 2000
 	}
-	if c.LightEvery <= 0 {
-		c.LightEvery = 16
+	if c.lightEvery <= 0 {
+		c.lightEvery = 16
 	}
-	if c.PoolEvery <= 0 {
-		c.PoolEvery = 2000
+	if c.poolEvery <= 0 {
+		c.poolEvery = 2000
 	}
 	if c.Mix == "" {
 		c.Mix = "default"
@@ -279,11 +279,10 @@ type Simulator struct {
 	lastPool int
 	step     int
 
-	// migK/migRT are the lazily booted migration-target machine and
-	// runtime (no injector, no emitter — its state never perturbs the
-	// source's telemetry parity); migImported tracks imported view indices
-	// so long runs cap the target's population.
-	migK        *kernel.Kernel
+	// migRT is the lazily booted migration-target runtime (no injector,
+	// no emitter — its state never perturbs the source's telemetry
+	// parity); migImported tracks imported view indices so long runs cap
+	// the target's population.
 	migRT       *core.Runtime
 	migImported []int
 
@@ -309,7 +308,6 @@ type simTelemetry struct {
 	// the engine (all mutation happens on the draining goroutine).
 	recoveries uint64 // KindRecovery events seen
 	unknown    uint64 // ...whose provenance is unresolvable
-	ud2Traps   uint64 // KindUD2Trap events seen
 }
 
 func newSimTelemetry(cpus int, extra []telemetry.Sink, rt *core.Runtime, evolveOn, splitOn bool) (*simTelemetry, error) {
@@ -318,8 +316,7 @@ func newSimTelemetry(cpus int, extra []telemetry.Sink, rt *core.Runtime, evolveO
 		eng: detect.New(detect.Config{}),
 	}
 	count := telemetry.SinkFunc(func(ev telemetry.Event) {
-		switch ev.Kind {
-		case telemetry.KindRecovery:
+		if ev.Kind == telemetry.KindRecovery {
 			t.recoveries++
 			if detect.UnknownOrigin(ev) {
 				t.unknown++
@@ -333,8 +330,6 @@ func newSimTelemetry(cpus int, extra []telemetry.Sink, rt *core.Runtime, evolveO
 					rt.SplitShared(ev.Comm)
 				}
 			}
-		case telemetry.KindUD2Trap:
-			t.ud2Traps++
 		}
 	})
 	sinks := []telemetry.Sink{count, t.agg, t.eng}
@@ -442,12 +437,6 @@ func New(cfg Config) (*Simulator, error) {
 	return s, nil
 }
 
-// Kernel exposes the simulated guest (for white-box tests).
-func (s *Simulator) Kernel() *kernel.Kernel { return s.k }
-
-// Runtime exposes the runtime under test (for white-box tests).
-func (s *Simulator) Runtime() *core.Runtime { return s.rt }
-
 // Pipeline exposes the attached telemetry pipeline — the hub the runtime
 // emits into, the aggregator and the detection engine — or all nil when
 // the run was configured with NoTelemetry. cmd/fcmon serves /metrics and
@@ -544,7 +533,7 @@ func (s *Simulator) stepEvent(ev Event) *Violation {
 	if err := s.rt.CheckSwitchState(); err != nil {
 		return s.violation(ev, err.Error())
 	}
-	if s.step%s.cfg.LightEvery == 0 {
+	if s.step%s.cfg.lightEvery == 0 {
 		if err := s.checkCacheBalance(); err != nil {
 			return s.violation(ev, err.Error())
 		}

@@ -55,7 +55,7 @@ func TestSeededSimulation(t *testing.T) {
 		Seed:      1,
 		Steps:     1000,
 		Faults:    FaultAll,
-		PoolEvery: 400,
+		poolEvery: 400,
 		Workers:   4,
 	})
 	if err != nil {
@@ -85,7 +85,7 @@ func TestDeterminism(t *testing.T) {
 		Seed:      42,
 		Steps:     600,
 		Faults:    FaultAll,
-		PoolEvery: 250,
+		poolEvery: 250,
 		Workers:   3,
 	}
 	a, errA := Run(cfg)
@@ -146,7 +146,7 @@ func TestCheckersDetectCorruption(t *testing.T) {
 		if _, err := s.RunScript(loadViewScript()); err != nil {
 			t.Fatalf("setup script: %v", err)
 		}
-		if len(s.Runtime().LoadedIndices()) == 0 {
+		if len(s.rt.LoadedIndices()) == 0 {
 			t.Fatal("setup script loaded no views")
 		}
 		return s
@@ -154,19 +154,19 @@ func TestCheckersDetectCorruption(t *testing.T) {
 
 	t.Run("isolation-detects-foreign-bytes", func(t *testing.T) {
 		s := newLoaded(t)
-		rt := s.Runtime()
+		rt := s.rt
 		v := rt.ViewByIndex(rt.LoadedIndices()[0])
 		v.Pages(func(_, hpa uint32) bool {
 			// A byte that is neither pristine nor either UD2 pattern byte.
 			pristine := make([]byte, 1)
-			if err := s.Kernel().Host.Read(hpa+7, pristine); err != nil {
+			if err := s.k.Host.Read(hpa+7, pristine); err != nil {
 				t.Fatal(err)
 			}
 			foreign := byte(0xCC)
 			if pristine[0] == foreign {
 				foreign = 0xCD
 			}
-			if err := s.Kernel().Host.Write(hpa+7, []byte{foreign}); err != nil {
+			if err := s.k.Host.Write(hpa+7, []byte{foreign}); err != nil {
 				t.Fatal(err)
 			}
 			return false
@@ -179,7 +179,7 @@ func TestCheckersDetectCorruption(t *testing.T) {
 
 	t.Run("cache-balance-detects-dropped-ref", func(t *testing.T) {
 		s := newLoaded(t)
-		rt := s.Runtime()
+		rt := s.rt
 		v := rt.ViewByIndex(rt.LoadedIndices()[0])
 		shared := v.SharedPageSet()
 		v.Pages(func(gpa, hpa uint32) bool {
@@ -197,7 +197,7 @@ func TestCheckersDetectCorruption(t *testing.T) {
 	t.Run("ept-check-detects-stale-mapping", func(t *testing.T) {
 		s := newLoaded(t)
 		// Point a text page at a bogus HPA behind the runtime's back.
-		s.Kernel().M.CPUs[1].EPT.SetPTE(mem.KernelTextGPA, mem.GuestRAMSize+0x123000)
+		s.k.M.CPUs[1].EPT.SetPTE(mem.KernelTextGPA, mem.GuestRAMSize+0x123000)
 		if err := s.CheckAll(); err == nil {
 			t.Fatal("stale EPT mapping not detected")
 		}
@@ -205,7 +205,7 @@ func TestCheckersDetectCorruption(t *testing.T) {
 
 	t.Run("switch-state-detects-bogus-active", func(t *testing.T) {
 		s := newLoaded(t)
-		rt := s.Runtime()
+		rt := s.rt
 		idx := rt.LoadedIndices()[0]
 		// Unload every view; the runtime reverts vCPUs itself, so fake the
 		// inconsistency by unloading through the back door: unload, then
@@ -249,7 +249,7 @@ func TestScriptUnloadActive(t *testing.T) {
 	if res.Violation != nil {
 		t.Fatalf("violation: %v", res.Violation)
 	}
-	if got := s.Runtime().ActiveView(0); got != core.FullView {
+	if got := s.rt.ActiveView(0); got != core.FullView {
 		t.Errorf("cpu0 active = %d after unload, want full view", got)
 	}
 }
@@ -265,7 +265,7 @@ func TestRunStopsOnViolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Break an invariant, then run one more scripted step.
-	rt := s.Runtime()
+	rt := s.rt
 	v := rt.ViewByIndex(rt.LoadedIndices()[0])
 	shared := v.SharedPageSet()
 	v.Pages(func(gpa, hpa uint32) bool {
@@ -344,7 +344,7 @@ func FuzzSimTrace(f *testing.F) {
 			Faults:     FaultAll,
 			FaultRate:  0.05,
 			NoPool:     true,
-			LightEvery: 4,
+			lightEvery: 4,
 			CheckEvery: 64,
 		})
 		if err != nil {

@@ -78,18 +78,6 @@ func (h *Hist) RecordN(v, n uint64) {
 	h.sum += v * n
 }
 
-// Count returns the number of recorded samples.
-func (h *Hist) Count() uint64 { return h.n }
-
-// Sum returns the sum of recorded samples.
-func (h *Hist) Sum() uint64 { return h.sum }
-
-// Min returns the smallest recorded sample (0 when empty).
-func (h *Hist) Min() uint64 { return h.min }
-
-// Max returns the largest recorded sample (0 when empty).
-func (h *Hist) Max() uint64 { return h.max }
-
 // Mean returns the arithmetic mean (0 when empty).
 func (h *Hist) Mean() float64 {
 	if h.n == 0 {

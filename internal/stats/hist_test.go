@@ -134,8 +134,7 @@ func TestMerge(t *testing.T) {
 		}
 	}
 	a.Merge(&b)
-	if a.Count() != whole.Count() || a.Sum() != whole.Sum() ||
-		a.Min() != whole.Min() || a.Max() != whole.Max() {
+	if a.n != whole.n || a.sum != whole.sum || a.min != whole.min || a.max != whole.max {
 		t.Fatalf("merge mismatch: %+v vs %+v", a.Summarize(), whole.Summarize())
 	}
 	for _, q := range []float64{0.25, 0.5, 0.75, 0.99} {

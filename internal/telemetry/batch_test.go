@@ -34,7 +34,7 @@ func TestRingPopBatchMatchesPop(t *testing.T) {
 			}
 		}
 		for {
-			ev, ok := b.Pop()
+			ev, ok := b.pop()
 			if !ok {
 				break
 			}

@@ -49,7 +49,6 @@ type RelayQueue struct {
 	pending   []relayPending
 	appended  uint64 // batches ever appended
 	committed uint64 // batches committed (relayed upstream)
-	events    uint64 // events ever appended
 }
 
 // NewRelayQueue creates an empty queue.
@@ -63,7 +62,6 @@ func (r *RelayQueue) Append(b Batch, ack func()) {
 	r.mu.Lock()
 	r.q = append(r.q, b)
 	r.appended++
-	r.events += uint64(len(b.Events))
 	if ack != nil {
 		r.pending = append(r.pending, relayPending{due: r.appended, ack: ack})
 	}
@@ -105,13 +103,6 @@ func (r *RelayQueue) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.q)
-}
-
-// Events returns the total events ever appended.
-func (r *RelayQueue) Events() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.events
 }
 
 // SeqTracker dedupes re-sent telemetry batches at the aggregation point.
@@ -156,17 +147,6 @@ func (t *SeqTracker) Admit(node string, first uint64, n int) int {
 	}
 	t.next[node] = end
 	return skip
-}
-
-// Next returns a node's next-expected cumulative sequence — the exact
-// count of events admitted from it. Live migration reads it on both sides
-// of a cutover: the source's final-seq watermark must equal Next(source)
-// once its drained stream lands, and fleet-wide exactness is the sum of
-// Next over every node, unchanged by the move.
-func (t *SeqTracker) Next(node string) uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.next[node]
 }
 
 // Dups returns the total duplicate events skipped.

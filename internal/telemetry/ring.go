@@ -55,8 +55,8 @@ func (r *Ring) Push(ev Event) bool {
 	return true
 }
 
-// Pop dequeues the oldest event, reporting false when the ring is empty.
-func (r *Ring) Pop() (Event, bool) {
+// pop dequeues the oldest event, reporting false when the ring is empty.
+func (r *Ring) pop() (Event, bool) {
 	tail := r.tail.Load()
 	if tail == r.head.Load() {
 		return Event{}, false

@@ -18,7 +18,7 @@ func TestSeqTrackerAdmit(t *testing.T) {
 	if skip := tr.Admit("n1", 5, 10); skip != 5 {
 		t.Fatalf("overlap skipped %d, want 5", skip)
 	}
-	if got := tr.Next("n1"); got != 15 {
+	if got := tr.next["n1"]; got != 15 {
 		t.Fatalf("cursor %d, want 15", got)
 	}
 	if got := tr.Dups(); got != 15 {
@@ -31,11 +31,11 @@ func TestSeqTrackerAdmit(t *testing.T) {
 	if got := tr.Gaps(); got != 5 {
 		t.Fatalf("gaps %d, want 5", got)
 	}
-	if got := tr.Next("n1"); got != 25 {
+	if got := tr.next["n1"]; got != 25 {
 		t.Fatalf("cursor %d after gap, want 25", got)
 	}
 	// Nodes are independent.
-	if got := tr.Next("n2"); got != 0 {
+	if got := tr.next["n2"]; got != 0 {
 		t.Fatalf("unseen node cursor %d", got)
 	}
 }
@@ -49,17 +49,17 @@ func TestSeqTrackerMigrationStitch(t *testing.T) {
 	tr.Admit("src", 0, 40)
 	tr.Admit("src", 40, 2) // the final drained tail; watermark 42
 	const finalSeq = 42
-	if got := tr.Next("src"); got != finalSeq {
+	if got := tr.next["src"]; got != finalSeq {
 		t.Fatalf("source cursor %d, want the final-seq watermark %d", got, finalSeq)
 	}
 	// The tail is re-sent across the failover-prone window: no double count.
 	tr.Admit("src", 40, 2)
-	if got := tr.Next("src"); got != finalSeq {
+	if got := tr.next["src"]; got != finalSeq {
 		t.Fatalf("re-sent tail moved the watermark to %d", got)
 	}
 	// The target picks up with its own stream.
 	tr.Admit("dst", 0, 7)
-	if total := tr.Next("src") + tr.Next("dst"); total != finalSeq+7 {
+	if total := tr.next["src"] + tr.next["dst"]; total != finalSeq+7 {
 		t.Fatalf("fleet-wide count %d, want %d", total, finalSeq+7)
 	}
 	if tr.Dups() != 2 {

@@ -25,7 +25,7 @@ func TestRingPushPopWraparound(t *testing.T) {
 			}
 		}
 		for i := 0; i < 3; i++ {
-			ev, ok := r.Pop()
+			ev, ok := r.pop()
 			if !ok {
 				t.Fatalf("round %d: pop %d failed on non-empty ring", round, i)
 			}
@@ -34,7 +34,7 @@ func TestRingPushPopWraparound(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := r.Pop(); ok {
+	if _, ok := r.pop(); ok {
 		t.Fatal("pop on empty ring succeeded")
 	}
 	if r.Drops() != 0 {
@@ -59,7 +59,7 @@ func TestRingOverflowDropsNewest(t *testing.T) {
 	}
 	// The buffered prefix survives intact (drop-newest, never overwrite).
 	for i := 1; i <= 4; i++ {
-		ev, ok := r.Pop()
+		ev, ok := r.pop()
 		if !ok || ev.Seq != uint64(i) {
 			t.Fatalf("pop = (%v, %v), want seq %d", ev.Seq, ok, i)
 		}

@@ -35,9 +35,6 @@ func NewPool(cfg PoolConfig) *Pool {
 	return &Pool{workers: w}
 }
 
-// Workers returns the pool's concurrency bound.
-func (p *Pool) Workers() int { return p.workers }
-
 // ProfileError is one failed profiling session.
 type ProfileError struct {
 	App  string
@@ -152,7 +149,11 @@ func (p *Pool) ProfileAll(list []apps.App, cfg ProfileConfig) (map[string]*kview
 }
 
 // ProfileMerged profiles an application over several independent sessions
-// (distinct workload seeds) concurrently and merges the resulting views.
+// (distinct workload seeds) concurrently and merges the resulting views —
+// the paper's answer to the path-coverage problem: "it is difficult to
+// ensure that all code paths through an application are executed during
+// profiling" (Section III-A2). More sessions mean fewer benign recoveries
+// at runtime.
 // The merge unions the views in seed order; range-list union is
 // order-independent, so the merged view is identical to a serial run's.
 func (p *Pool) ProfileMerged(app apps.App, cfg ProfileConfig, seeds ...int64) (*kview.View, error) {
