@@ -201,10 +201,11 @@ func BenchmarkProfile(b *testing.B) {
 }
 
 // BenchmarkKernelBoot measures one guest boot: kernel.New and two module
-// loads. The guest's RAM goes back to the free list after each boot, so
-// the figure is the kernel image work, not zeroing 40 MB of fresh RAM.
+// loads. Each boot releases its guest's RAM to the free list, so the
+// figure is the kernel image work, not zeroing 40 MB of fresh RAM.
 // after-gc runs two garbage collections between boots, as a profiling
 // round between sessions does; the released RAM must survive them.
+// BenchmarkNewVM covers RAM that comes back without a Release.
 func BenchmarkKernelBoot(b *testing.B) {
 	boot := func(b *testing.B) {
 		k, err := kernel.New(kernel.Config{})
@@ -232,6 +233,27 @@ func BenchmarkKernelBoot(b *testing.B) {
 			runtime.GC()
 			b.StartTimer()
 			boot(b)
+		}
+	})
+}
+
+// BenchmarkNewVM measures one runtime VM boot. dropped drops each VM
+// without releasing it and runs two untimed garbage collections before
+// the next boot, as a perfbench round does between its runtime VMs: the
+// collector finds the dropped guest's RAM unreferenced and puts it back
+// on the free list, so a boot clears the pages the last guest wrote
+// instead of zeroing 40 MB of fresh RAM.
+func BenchmarkNewVM(b *testing.B) {
+	b.Run("dropped", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			runtime.GC()
+			runtime.GC()
+			b.StartTimer()
+			if _, err := facechange.NewVM(facechange.VMConfig{}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

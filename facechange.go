@@ -77,7 +77,7 @@ func Profile(app apps.App, cfg ProfileConfig) (*kview.View, error) {
 	}
 	// The session owns its guest outright, and the view it returns holds
 	// only address ranges, so the guest's RAM goes back to the free list
-	// for the next session.
+	// for the next session at once, not when a collection finds it.
 	defer k.Host.Release()
 	for _, m := range app.Modules {
 		if _, err := k.LoadModule(m); err != nil {
@@ -134,7 +134,10 @@ type VM struct {
 }
 
 // NewVM boots a KVM-environment guest, without periodic keyboard
-// interrupts, and attaches a (disabled) FACE-CHANGE runtime.
+// interrupts, and attaches a (disabled) FACE-CHANGE runtime. A VM needs
+// no closing: once nothing references it or any slice of its guest RAM,
+// the garbage collector returns the RAM to the free list for the next
+// guest.
 func NewVM(cfg VMConfig) (*VM, error) {
 	k, err := kernel.New(kernel.Config{
 		Clock:        kernel.ClockKVM,

@@ -2,14 +2,19 @@ package facechange_test
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"facechange"
 	"facechange/internal/apps"
 	"facechange/internal/kernel"
 	"facechange/internal/kview"
 	"facechange/internal/malware"
+	"facechange/internal/mem"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -376,3 +381,155 @@ func TestProfileOnRecycledRAM(t *testing.T) {
 		t.Fatalf("%s profiled after %s differs from its first profile (%d vs %d bytes)", b.Name, a.Name, len(wire[1]), len(wire[0]))
 	}
 }
+
+// TestDroppedVMRecyclesRAM: a runtime VM that ran real guest code — two
+// profiled views and a module loaded, recoveries that copied shared view
+// pages on write — and is then dropped without Release gives its guest RAM
+// back once the garbage collector finds nothing references it. The next
+// NewVM boots on that RAM, allocates no fresh guest RAM, and reads all
+// 40 MB exactly as a VM booted on fresh RAM does. A Slice of a dropped
+// VM's RAM holds the RAM back: while the slice lives the next VM boots
+// elsewhere, and once the slice is dropped too the RAM comes back.
+func TestDroppedVMRecyclesRAM(t *testing.T) {
+	top, _ := apps.ByName("top")
+	gzip, _ := apps.ByName("gzip")
+	var views []*kview.View
+	for _, app := range []apps.App{top, gzip} {
+		v, err := facechange.Profile(app, facechange.ProfileConfig{Syscalls: 150})
+		if err != nil {
+			t.Fatal(err)
+		}
+		views = append(views, v)
+	}
+	cfg := facechange.VMConfig{NCPU: 2, Modules: []string{"af_packet"}}
+	// boot returns a new VM and whether it allocated fresh guest RAM
+	// instead of taking RAM from the free list.
+	boot := func() (*facechange.VM, bool) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		vm, err := facechange.NewVM(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vm, after.TotalAlloc-before.TotalAlloc >= uint64(mem.GuestRAMSize)
+	}
+	ram := func(vm *facechange.VM) []byte {
+		t.Helper()
+		b, err := vm.Kernel.Host.ReadSlice(0, int(mem.GuestRAMSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	// addr names a VM's RAM without keeping it alive.
+	addr := func(vm *facechange.VM) uintptr { return reflect.ValueOf(ram(vm)).Pointer() }
+	collect := func() {
+		t.Helper()
+		if err := awaitFinalizers(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Guests that earlier tests dropped go back on the free list when they
+	// are collected; let that happen now, so that none lands on top of the
+	// RAM this test drops.
+	collect()
+	if freshVMRAM == nil {
+		// Empty the free list, so the reference guest boots on fresh RAM.
+		var vms []*facechange.VM
+		for fresh := false; !fresh; {
+			var vm *facechange.VM
+			vm, fresh = boot()
+			vms = append(vms, vm)
+		}
+		freshVMRAM = bytes.Clone(ram(vms[len(vms)-1]))
+		for _, vm := range vms {
+			vm.Kernel.Host.Release()
+		}
+	}
+	want := freshVMRAM
+
+	dropped := func() uintptr {
+		vm, _ := boot()
+		for _, v := range views {
+			if _, err := vm.LoadView(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		vm.Runtime.Enable()
+		vm.StartApp(top, 1, 150)
+		vm.StartApp(gzip, 1, 150)
+		if err := vm.RunUntilDead(8_000_000_000); err != nil {
+			t.Fatal(err)
+		}
+		if vm.Runtime.CacheStats().Privatized == 0 {
+			t.Fatal("no recovery copied a shared view page")
+		}
+		return addr(vm)
+	}()
+	collect()
+	next, fresh := boot()
+	if got := addr(next); got != dropped || fresh {
+		t.Fatalf("the next VM booted on RAM at %#x (fresh: %v), not on the dropped VM's at %#x", got, fresh, dropped)
+	}
+	if got := ram(next); !bytes.Equal(got, want) {
+		i := 0
+		for got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("RAM of a dropped VM differs from a fresh boot's at %#x: %#x, want %#x", i, got[i], want[i])
+	}
+	next.Kernel.Host.Release()
+
+	held, dropped := func() ([]byte, uintptr) {
+		vm, _ := boot()
+		s, err := vm.Kernel.Host.Slice(0, mem.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, addr(vm)
+	}()
+	collect()
+	other, _ := boot()
+	if addr(other) == dropped {
+		t.Fatal("a dropped VM's RAM came back while a Slice of it was live")
+	}
+	runtime.KeepAlive(held)
+	other.Kernel.Host.Release()
+	collect()
+	if last, _ := boot(); addr(last) != dropped {
+		t.Fatalf("once its last Slice was dropped, the next VM booted on RAM at %#x, not on the dropped VM's at %#x", addr(last), dropped)
+	}
+}
+
+// freshVMRAM is the guest RAM of TestDroppedVMRecyclesRAM's VM booted on
+// fresh RAM. It is taken once per process: fresh RAM stays on the free
+// list for good, so taking it on every run of the test would grow the
+// list by 40 MB a run.
+var freshVMRAM []byte
+
+// awaitFinalizers runs a garbage collection and waits until every
+// finalizer it queued has run, or reports an error after a minute. The
+// runtime runs finalizers one at a time on a single goroutine, which
+// takes its whole queue at once. A sentinel queued by a collection that
+// starts after an earlier sentinel ran therefore runs after the batch
+// that held the earlier one, and so after everything queued before it.
+func awaitFinalizers() error {
+	runtime.GC()
+	for i := 0; i < 2; i++ {
+		done := make(chan struct{})
+		runtime.SetFinalizer(&sentinel{done}, func(s *sentinel) { close(s.done) })
+		runtime.GC()
+		select {
+		case <-done:
+		case <-time.After(time.Minute):
+			return errors.New("finalizers did not run within a minute")
+		}
+	}
+	return nil
+}
+
+// sentinel is an object whose finalizer tells awaitFinalizers it ran.
+type sentinel struct{ done chan struct{} }

@@ -2,9 +2,11 @@ package kernel
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"facechange/internal/hv"
 	"facechange/internal/isa"
@@ -462,6 +464,12 @@ func TestKvmclockOnlyUnderKVM(t *testing.T) {
 // collections between the release and the next boot must not lose the
 // released RAM.
 func TestRecycledGuestRAMMatchesFresh(t *testing.T) {
+	// Guests that earlier tests dropped go back on the free list when they
+	// are collected; let that happen now, so that none lands on top of the
+	// RAM this test releases.
+	if err := awaitFinalizers(); err != nil {
+		t.Fatal(err)
+	}
 	boot := func() *Kernel {
 		k := buildTestKernel(t, Config{NCPU: 2})
 		for _, m := range []string{"af_packet", "snd"} {
@@ -501,7 +509,7 @@ func TestRecycledGuestRAMMatchesFresh(t *testing.T) {
 		second := boot()
 		got := ram(second)
 		if &got[0] != firstRAM {
-			t.Fatalf("cycle %d: the next guest booted on fresh RAM, not the RAM released before two GCs", cycle)
+			t.Fatalf("cycle %d: the next guest booted on other RAM, not the RAM released before two GCs", cycle)
 		}
 		if !bytes.Equal(got, want) {
 			i := 0
@@ -513,3 +521,27 @@ func TestRecycledGuestRAMMatchesFresh(t *testing.T) {
 		second.Host.Release()
 	}
 }
+
+// awaitFinalizers runs a garbage collection and waits until every
+// finalizer it queued has run, or reports an error after a minute. The
+// runtime runs finalizers one at a time on a single goroutine, which
+// takes its whole queue at once. A sentinel queued by a collection that
+// starts after an earlier sentinel ran therefore runs after the batch
+// that held the earlier one, and so after everything queued before it.
+func awaitFinalizers() error {
+	runtime.GC()
+	for i := 0; i < 2; i++ {
+		done := make(chan struct{})
+		runtime.SetFinalizer(&sentinel{done}, func(s *sentinel) { close(s.done) })
+		runtime.GC()
+		select {
+		case <-done:
+		case <-time.After(time.Minute):
+			return errors.New("finalizers did not run within a minute")
+		}
+	}
+	return nil
+}
+
+// sentinel is an object whose finalizer tells awaitFinalizers it ran.
+type sentinel struct{ done chan struct{} }

@@ -27,47 +27,60 @@ const dirtyWords = GuestRAMSize / PageSize / 64
 // AllocPage calls. An access above guest RAM is bounded to one shadow
 // page (consecutive AllocPage results are not contiguous in general).
 //
-// Guest RAM is recycled: Release hands it to a process-wide free list, and
-// NewHost takes it back, clearing only the pages a dirty bitmap marks as
-// touched. Every write to guest RAM goes through Slice or Write, which
-// mark the pages they hand out or touch, so the bitmap covers live views
-// written later too. Reads (Read, Accessor.Read) leave the bitmap alone.
+// Guest RAM is recycled through a process-wide free list, which NewHost
+// takes from, clearing only the pages a dirty bitmap marks as touched.
+// RAM comes back to the list in one of two ways: its owner calls Release,
+// or the garbage collector finds that nothing references it any more.
+// Every write to guest RAM goes through Slice or Write, which mark the
+// pages they hand out or touch, so the bitmap covers live views written
+// later too. Reads (Read, Accessor.Read) leave the bitmap alone.
 type Host struct {
-	guest    *guestRAM // nil for an arena host
-	ram      []byte    // guest.buf, or empty
+	ram      []byte       // guest RAM, or empty for an arena host
+	dirty    *dirtyBitmap // pages of ram written since the last scrub; nil for an arena host
 	slabs    [][]byte
 	nextPage uint32   // next never-allocated HPA for AllocPage
 	freelist []uint32 // freed pages available for reuse (LIFO)
 }
 
-// guestRAM is one guest's RAM and a bitmap of the pages written, or
-// handed out writable, since it was last cleared.
+// dirtyBitmap marks the pages of one guest's RAM written, or handed out
+// writable, since the RAM was last cleared: one bit per page.
+type dirtyBitmap [dirtyWords]uint64
+
+// guestRAM is one guest's RAM on the free list, with its dirty bitmap.
 type guestRAM struct {
-	buf   []byte
-	dirty [dirtyWords]uint64
+	buf   *[GuestRAMSize]byte
+	dirty *dirtyBitmap
 }
 
-// freeRAM holds released guest RAM, newest last. Profiling sessions boot
-// a guest each, so without it every session would zero 40 MB it mostly
-// never touches. Unlike a sync.Pool, a garbage collection does not empty
-// it. It holds at most GOMAXPROCS entries, one per default worker of a
-// facechange.Pool; RAM released past that cap is left to the GC.
+// freeRAM holds guest RAM that no host uses, newest last. Profiling
+// sessions and runtime guests boot a guest each, so without it every boot
+// would zero 40 MB it mostly never touches. Unlike a sync.Pool, a garbage
+// collection does not empty it. It has no cap: RAM is allocated only when
+// the list is empty and is never dropped, so the list never holds more
+// RAM than the process had allocated at its peak.
 var freeRAM struct {
 	sync.Mutex
-	list []*guestRAM
+	list []guestRAM
 }
 
-// markDirty marks the pages of [hpa, hpa+n), n > 0, as touched: one OR
-// per bitmap word, not one step per page. A word already covering the
-// range is only read, so rewrites of marked pages store nothing.
-func (g *guestRAM) markDirty(hpa uint32, n int) {
+// putRAM pushes g onto the free list.
+func putRAM(g guestRAM) {
+	freeRAM.Lock()
+	freeRAM.list = append(freeRAM.list, g)
+	freeRAM.Unlock()
+}
+
+// mark marks the pages of [hpa, hpa+n), n > 0, as touched: one OR per
+// bitmap word, not one step per page. A word already covering the range
+// is only read, so rewrites of marked pages store nothing.
+func (d *dirtyBitmap) mark(hpa uint32, n int) {
 	first, last := hpa>>PageShift, (hpa+uint32(n)-1)>>PageShift
 	for p := first; p <= last; p = (p | 63) + 1 { // p: first page in each word
 		mask := ^uint64(0) << (p % 64)
 		if last < p|63 {
 			mask &= ^uint64(0) >> (63 - last%64)
 		}
-		if w := &g.dirty[p/64]; *w&mask != mask {
+		if w := &d[p/64]; *w&mask != mask {
 			*w |= mask
 		}
 	}
@@ -75,7 +88,7 @@ func (g *guestRAM) markDirty(hpa uint32, n int) {
 
 // scrub zeroes every dirty page, one memclr per run of adjacent dirty
 // pages, and clears the bitmap.
-func (g *guestRAM) scrub() {
+func (g guestRAM) scrub() {
 	for w, word := range g.dirty {
 		for word != 0 {
 			lo := bits.TrailingZeros64(word)
@@ -90,39 +103,48 @@ func (g *guestRAM) scrub() {
 
 // NewHost creates host memory backing a guest with GuestRAMSize of RAM and
 // room for shadow pages. The RAM reads all zero: it is either fresh or the
-// most recently released host's RAM with its dirty pages cleared.
+// newest RAM on the free list with its dirty pages cleared.
+//
+// NewHost arms a finalizer on the RAM array that puts it back on the free
+// list once nothing references it. The finalizer sits on the array, not
+// on the Host: a Slice of guest RAM can outlive its Host (an instruction
+// fetch window, a VMI read), and the array becomes unreachable only when
+// no Slice of it is left, so RAM that comes back this way never aliases a
+// live view. The finalizer's closure holds only the dirty bitmap; holding
+// the array would keep it reachable for ever.
 func NewHost() *Host {
-	var g *guestRAM
+	var g guestRAM
 	freeRAM.Lock()
 	if n := len(freeRAM.list); n > 0 {
 		g = freeRAM.list[n-1]
-		freeRAM.list[n-1] = nil
+		freeRAM.list[n-1] = guestRAM{}
 		freeRAM.list = freeRAM.list[:n-1]
 	}
 	freeRAM.Unlock()
-	if g == nil {
-		g = &guestRAM{buf: make([]byte, GuestRAMSize)}
+	if g.buf == nil {
+		g = guestRAM{buf: new([GuestRAMSize]byte), dirty: new(dirtyBitmap)}
 	} else {
 		g.scrub()
 	}
-	return &Host{guest: g, ram: g.buf, nextPage: GuestRAMSize}
+	dirty := g.dirty
+	runtime.SetFinalizer(g.buf, func(buf *[GuestRAMSize]byte) { putRAM(guestRAM{buf, dirty}) })
+	return &Host{ram: g.buf[:], dirty: g.dirty, nextPage: GuestRAMSize}
 }
 
 // Release returns the host's guest RAM to the free list for the next
-// NewHost, or leaves it to the GC if the list is full. The caller must
-// own the host outright: neither the host nor any Slice of it may be used
-// afterwards (a later Slice of the former RAM fails, but a Slice taken
-// before Release would alias the next guest's memory).
-// Release on an arena host, or on a released one, does nothing.
+// NewHost at once, without waiting for a garbage collection to find it
+// unreferenced. The caller must own the host outright: neither the host
+// nor any Slice of it may be used afterwards (a later Slice of the former
+// RAM fails, but a Slice taken before Release would alias the next
+// guest's memory). Release on an arena host, or on a released one, does
+// nothing.
 func (h *Host) Release() {
-	if h.guest == nil {
+	if h.dirty == nil {
 		return
 	}
-	freeRAM.Lock()
-	if len(freeRAM.list) < runtime.GOMAXPROCS(0) {
-		freeRAM.list = append(freeRAM.list, h.guest)
-	}
-	freeRAM.Unlock()
+	buf := (*[GuestRAMSize]byte)(h.ram)
+	runtime.SetFinalizer(buf, nil)
+	putRAM(guestRAM{buf, h.dirty})
 	*h = Host{}
 }
 
@@ -211,7 +233,7 @@ func (h *Host) slice(hpa uint32, n int, writable bool) ([]byte, error) {
 			return nil, fmt.Errorf("mem: host access [%#x,%#x) crosses the end of guest RAM %#x", hpa, int(hpa)+n, ram)
 		}
 		if writable && n > 0 {
-			h.guest.markDirty(hpa, n)
+			h.dirty.mark(hpa, n)
 		}
 		return h.ram[hpa : int(hpa)+n], nil
 	}

@@ -2,12 +2,15 @@ package mem
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestPageAlign(t *testing.T) {
@@ -580,79 +583,106 @@ func TestHostShadowAccessBoundedToPage(t *testing.T) {
 // TestHostRecycledRAMReadsZero: guest RAM written through Write, through
 // an Accessor and through a live Slice — writes straddling two pages, the
 // last byte of RAM, both sides of a dirty-bitmap word boundary — is
-// cleared by the time a released host's RAM comes back from NewHost. Each
-// cycle dirties different pages and the next host must read all of RAM as
-// zero. Two garbage collections between Release and the next NewHost
-// must not lose the RAM: the next host runs on it every cycle.
+// cleared by the time it comes back from NewHost, whether its host was
+// released or dropped for the garbage collector to find. Each cycle
+// dirties different pages and the next host must read all of RAM as zero.
+// Released RAM must survive two garbage collections, and dropped RAM must
+// be on top of the free list once the collector has run its finalizer:
+// either way the next host runs on it every cycle.
 func TestHostRecycledRAMReadsZero(t *testing.T) {
-	wordEdge := uint32(64 * PageSize) // first page of the second bitmap word
-	for cycle := uint32(0); cycle < 4; cycle++ {
+	// Hosts that earlier tests dropped go back on the free list when they
+	// are collected; let that happen now, so the list's top is this test's.
+	if err := awaitFinalizers(); err != nil {
+		t.Fatal(err)
+	}
+	for cycle := uint32(0); cycle < 6; cycle++ {
 		h := NewHost()
 		if i := firstNonZero(h.ram); i >= 0 {
-			t.Fatalf("cycle %d: fresh host byte %#x is %#x, want 0", cycle, i, h.ram[i])
+			t.Fatalf("cycle %d: arriving host byte %#x is %#x, want 0", cycle, i, h.ram[i])
 		}
-		shift := cycle * 3 * wordEdge
-		for _, w := range []struct {
-			hpa uint32
-			n   int
-		}{
-			{shift + 5*PageSize - 2, 4}, // straddles a page boundary
-			{wordEdge - 1 + shift, 1},   // last byte of a bitmap word
-			{wordEdge + shift, 1},       // first byte of the next word
-			{GuestRAMSize - 1, 1},       // last byte of RAM
-		} {
-			if err := h.Write(w.hpa, bytes.Repeat([]byte{0xC3}, w.n)); err != nil {
+		dirtyEdges(t, h, cycle*3*64*PageSize)
+		ram, how := ramAddr(h.ram), "released"
+		if cycle%2 == 0 {
+			h.Release()
+			if _, err := h.Slice(0, 1); err == nil {
+				t.Fatal("a released host still hands out its former RAM")
+			}
+			runtime.GC()
+			runtime.GC()
+		} else {
+			// h is not used again: nothing references the RAM any more.
+			how = "dropped"
+			if err := awaitFinalizers(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		// So does a write through guest virtual memory.
-		acc := Accessor{AS: NewAddressSpace(), EPT: NewEPT(), Host: h}
-		if err := acc.WriteU32(KernelBase+shift+9*PageSize-2, 0xDEADBEEF); err != nil {
-			t.Fatal(err)
+		if top := freeTop(); top != ram {
+			t.Fatalf("cycle %d: the free list's top is %#x, not the RAM %s at %#x", cycle, top, how, ram)
 		}
-		// A live view dirties its pages even when written after the fact.
-		s, err := h.Slice(shift+2*wordEdge-PageSize, 2*PageSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s[0], s[len(s)-1] = 0xA5, 0x5A
-		buf := h.guest
-		h.Release()
-		if _, err := h.Slice(0, 1); err == nil {
-			t.Fatal("a released host still hands out its former RAM")
-		}
-		runtime.GC()
-		runtime.GC()
 		next := NewHost()
-		if next.guest != buf {
-			t.Fatalf("cycle %d: the next host got fresh RAM, not the RAM released before two GCs", cycle)
-		}
 		if i := firstNonZero(next.ram); i >= 0 {
-			t.Fatalf("cycle %d: recycled RAM byte %#x is %#x, want 0", cycle, i, next.ram[i])
+			t.Fatalf("cycle %d: RAM %s comes back with byte %#x = %#x, want 0", cycle, how, i, next.ram[i])
 		}
 		next.Release()
 	}
 }
 
-// TestHostRecycleConcurrent: more goroutines than the free list's cap
-// each boot a host, dirty random pages through Write, Accessor.Write and a
-// live Slice, and release it, many times over. Every host must read all
-// zero when it arrives, no two live hosts may share RAM, and the free list
-// never holds more than GOMAXPROCS entries, nor ends empty.
-func TestHostRecycleConcurrent(t *testing.T) {
-	// Each live host is 40 MB, so keep the worker count small on a big
-	// machine; the list's cap follows GOMAXPROCS.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(min(runtime.GOMAXPROCS(0), 2)))
-	workers, rounds := runtime.GOMAXPROCS(0)+2, 12
-	freeLen := func() int {
-		freeRAM.Lock()
-		defer freeRAM.Unlock()
-		return len(freeRAM.list)
+// dirtyEdges writes h's guest RAM at the pages the dirty bitmap is most
+// likely to miss, shifted by shift bytes: through Write across a page
+// boundary, at the last byte of a bitmap word and the first of the next,
+// at the last byte of RAM, through an Accessor, and through a live Slice
+// after it was handed out.
+func dirtyEdges(t *testing.T, h *Host, shift uint32) {
+	t.Helper()
+	wordEdge := uint32(64 * PageSize) // first page of the second bitmap word
+	for _, w := range []struct {
+		hpa uint32
+		n   int
+	}{
+		{shift + 5*PageSize - 2, 4}, // straddles a page boundary
+		{wordEdge - 1 + shift, 1},   // last byte of a bitmap word
+		{wordEdge + shift, 1},       // first byte of the next word
+		{GuestRAMSize - 1, 1},       // last byte of RAM
+	} {
+		if err := h.Write(w.hpa, bytes.Repeat([]byte{0xC3}, w.n)); err != nil {
+			t.Fatal(err)
+		}
 	}
+	acc := Accessor{AS: NewAddressSpace(), EPT: NewEPT(), Host: h}
+	if err := acc.WriteU32(KernelBase+shift+9*PageSize-2, 0xDEADBEEF); err != nil {
+		t.Fatal(err)
+	}
+	s, err := h.Slice(shift+2*wordEdge-PageSize, 2*PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s[0], s[len(s)-1] = 0xA5, 0x5A
+}
+
+// TestHostRecycleConcurrent: goroutines each boot a host, dirty random
+// pages through Write, Accessor.Write and a live Slice, and release it or
+// drop it for the collector, many times over. Every host must read all
+// zero when it arrives and no two live hosts may share RAM. Once the
+// dropped hosts are collected, every RAM the test used is on the free
+// list exactly once, and the list grew by no more than the RAM allocated
+// during the test: at most one per worker, plus one per dropped host that
+// still awaited collection when its worker went on.
+func TestHostRecycleConcurrent(t *testing.T) {
+	const workers, rounds = 4, 12 // each live host is 40 MB
+	if err := awaitFinalizers(); err != nil {
+		t.Fatal(err)
+	}
+	before := freeAddrs()
+	// RAM is named by address, so that no map entry keeps it alive. A
+	// boot holds mu from NewHost until it is counted, so a dropped RAM
+	// that no host booted on since, and that is not on the free list,
+	// awaits collection.
 	var (
-		mu   sync.Mutex
-		live = map[*guestRAM]bool{}
-		wg   sync.WaitGroup
+		mu      sync.Mutex
+		live    = map[uintptr]bool{}
+		boots   = map[uintptr]int{}
+		awaited int
+		wg      sync.WaitGroup
 	)
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
@@ -660,10 +690,12 @@ func TestHostRecycleConcurrent(t *testing.T) {
 		go func(rng *rand.Rand) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				h := NewHost()
 				mu.Lock()
-				shared := live[h.guest]
-				live[h.guest] = true
+				h := NewHost()
+				ram := ramAddr(h.ram)
+				shared := live[ram]
+				live[ram] = true
+				boots[ram]++
 				mu.Unlock()
 				if shared {
 					errs <- fmt.Errorf("round %d: two live hosts share one RAM", r)
@@ -673,31 +705,28 @@ func TestHostRecycleConcurrent(t *testing.T) {
 					errs <- fmt.Errorf("round %d: arriving host byte %#x is %#x, want 0", r, i, h.ram[i])
 					return
 				}
-				s, err := h.Slice(uint32(rng.Intn(int(GuestRAMSize/PageSize-1)))*PageSize, 2*PageSize)
-				if err != nil {
+				if err := dirtyRandom(h, rng); err != nil {
 					errs <- err
 					return
 				}
-				acc := Accessor{AS: NewAddressSpace(), EPT: NewEPT(), Host: h}
-				for i := 0; i < 8; i++ {
-					if err := h.Write(uint32(rng.Intn(int(GuestRAMSize-1))), []byte{0xC3, 0x90}); err != nil {
-						errs <- err
-						return
-					}
-					if err := acc.Write(KernelBase+uint32(rng.Intn(int(ModuleGPA-3))), []byte{0xDE, 0xAD, 0xBE}); err != nil {
-						errs <- err
-						return
-					}
-				}
-				s[rng.Intn(len(s))] = 0xA5 // a live view written after the fact
 				mu.Lock()
-				delete(live, h.guest)
+				delete(live, ram)
+				gen := boots[ram]
 				mu.Unlock()
-				h.Release()
-				if n, limit := freeLen(), runtime.GOMAXPROCS(0); n > limit {
-					errs <- fmt.Errorf("free list holds %d RAMs, cap %d", n, limit)
+				if r%2 == 0 {
+					h.Release()
+					continue
+				}
+				// h is not used again: wait for the collector to return it.
+				if err := awaitFinalizers(); err != nil {
+					errs <- err
 					return
 				}
+				mu.Lock()
+				if boots[ram] == gen && !freeAddrs()[ram] {
+					awaited++
+				}
+				mu.Unlock()
 			}
 		}(rand.New(rand.NewSource(int64(w + 1))))
 	}
@@ -706,9 +735,97 @@ func TestHostRecycleConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if freeLen() == 0 {
-		t.Fatal("every host was released, yet the free list is empty")
+	if err := awaitFinalizers(); err != nil {
+		t.Fatal(err)
 	}
+	after, fresh := freeAddrs(), 0
+	for ram := range boots {
+		if !after[ram] {
+			t.Fatalf("RAM %#x was used and never came back to the free list", ram)
+		}
+		if !before[ram] {
+			fresh++
+		}
+	}
+	freeRAM.Lock()
+	n := len(freeRAM.list)
+	freeRAM.Unlock()
+	if n != len(after) {
+		t.Fatalf("the free list holds %d entries for %d distinct RAMs", n, len(after))
+	}
+	if grew := len(after) - len(before); grew > fresh || fresh > workers+awaited {
+		t.Fatalf("the free list grew by %d RAMs; %d were allocated, for %d workers and %d dropped hosts that awaited collection",
+			grew, fresh, workers, awaited)
+	}
+}
+
+// dirtyRandom writes random pages of h's guest RAM through Write,
+// Accessor.Write and a live Slice written after it was handed out.
+func dirtyRandom(h *Host, rng *rand.Rand) error {
+	s, err := h.Slice(uint32(rng.Intn(int(GuestRAMSize/PageSize-1)))*PageSize, 2*PageSize)
+	if err != nil {
+		return err
+	}
+	acc := Accessor{AS: NewAddressSpace(), EPT: NewEPT(), Host: h}
+	for i := 0; i < 8; i++ {
+		if err := h.Write(uint32(rng.Intn(int(GuestRAMSize-1))), []byte{0xC3, 0x90}); err != nil {
+			return err
+		}
+		if err := acc.Write(KernelBase+uint32(rng.Intn(int(ModuleGPA-3))), []byte{0xDE, 0xAD, 0xBE}); err != nil {
+			return err
+		}
+	}
+	s[rng.Intn(len(s))] = 0xA5
+	return nil
+}
+
+// awaitFinalizers runs a garbage collection and waits until every
+// finalizer it queued has run, or reports an error after a minute. The
+// runtime runs finalizers one at a time on a single goroutine, which
+// takes its whole queue at once. A sentinel queued by a collection that
+// starts after an earlier sentinel ran therefore runs after the batch
+// that held the earlier one, and so after everything queued before it.
+func awaitFinalizers() error {
+	runtime.GC()
+	for i := 0; i < 2; i++ {
+		done := make(chan struct{})
+		runtime.SetFinalizer(&sentinel{done}, func(s *sentinel) { close(s.done) })
+		runtime.GC()
+		select {
+		case <-done:
+		case <-time.After(time.Minute):
+			return errors.New("finalizers did not run within a minute")
+		}
+	}
+	return nil
+}
+
+// sentinel is an object whose finalizer tells awaitFinalizers it ran.
+type sentinel struct{ done chan struct{} }
+
+// ramAddr returns the address of guest RAM b, which identifies it
+// without keeping it alive.
+func ramAddr(b []byte) uintptr { return reflect.ValueOf(b).Pointer() }
+
+// freeTop returns the address of the RAM on top of the free list, or 0.
+func freeTop() uintptr {
+	freeRAM.Lock()
+	defer freeRAM.Unlock()
+	if n := len(freeRAM.list); n > 0 {
+		return ramAddr(freeRAM.list[n-1].buf[:])
+	}
+	return 0
+}
+
+// freeAddrs returns the addresses of the RAM on the free list.
+func freeAddrs() map[uintptr]bool {
+	freeRAM.Lock()
+	defer freeRAM.Unlock()
+	m := make(map[uintptr]bool, len(freeRAM.list))
+	for _, g := range freeRAM.list {
+		m[ramAddr(g.buf[:])] = true
+	}
+	return m
 }
 
 // firstNonZero returns the index of the first nonzero byte of b, or -1.
@@ -727,14 +844,14 @@ func firstNonZero(b []byte) int {
 // the pages it touches, and scrub zeroes those pages and nothing else
 // needs zeroing afterwards.
 func TestDirtyMarkingMatchesPages(t *testing.T) {
-	g := &guestRAM{buf: make([]byte, GuestRAMSize)}
+	g := guestRAM{buf: new([GuestRAMSize]byte), dirty: new(dirtyBitmap)}
 	f := func(hpa uint32, n uint32) bool {
 		hpa %= GuestRAMSize
 		n = 1 + n%(4*64*PageSize)
 		if hpa+n > GuestRAMSize {
 			n = GuestRAMSize - hpa
 		}
-		g.markDirty(hpa, int(n))
+		g.dirty.mark(hpa, int(n))
 		for p := uint32(0); p < GuestRAMSize/PageSize; p++ {
 			want := p >= hpa/PageSize && p <= (hpa+n-1)/PageSize
 			if got := g.dirty[p/64]>>(p%64)&1 == 1; got != want {
@@ -746,7 +863,7 @@ func TestDirtyMarkingMatchesPages(t *testing.T) {
 			g.buf[i] = 0xFF
 		}
 		g.scrub()
-		return g.dirty == [dirtyWords]uint64{} &&
+		return *g.dirty == dirtyBitmap{} &&
 			bytes.IndexByte(g.buf[PageAlignDown(hpa):PageAlignUp(hpa+n)], 0xFF) < 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -778,7 +895,7 @@ func TestHostReadSliceLeavesBitmap(t *testing.T) {
 	if err := h.Write(3*PageSize, []byte{0x42}); err != nil {
 		t.Fatal(err)
 	}
-	before := h.guest.dirty
+	before := *h.dirty
 	for _, r := range []struct {
 		hpa uint32
 		n   int
@@ -792,7 +909,7 @@ func TestHostReadSliceLeavesBitmap(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ReadSlice(%#x, %d): %v", r.hpa, r.n, err)
 		}
-		if h.guest.dirty != before {
+		if *h.dirty != before {
 			t.Fatalf("ReadSlice(%#x, %d) changed the dirty bitmap", r.hpa, r.n)
 		}
 		if len(ro) != r.n || &ro[0] != &h.ram[r.hpa] {
@@ -809,7 +926,7 @@ func TestHostReadSliceLeavesBitmap(t *testing.T) {
 	if _, err := h.ReadSlice(shadow+1, PageSize); err == nil {
 		t.Error("ReadSlice crossing a shadow page succeeded")
 	}
-	if h.guest.dirty != before {
+	if *h.dirty != before {
 		t.Fatal("failed ReadSlice calls changed the dirty bitmap")
 	}
 }

@@ -13,9 +13,11 @@ import (
 // Pool runs profiling sessions concurrently on a bounded set of workers.
 // Each session boots its own QEMU-environment guest (an independent
 // kernel.Kernel), so sessions share no state and the paper's per-
-// application profiling is embarrassingly parallel. Results and failures
-// are always reported in the caller's input order, so a pool run is
-// deterministic regardless of worker scheduling.
+// application profiling is embarrassingly parallel. A session's guest
+// RAM goes back to a process-wide free list when it ends, so a pool
+// allocates about one guest's RAM per worker however many sessions it
+// runs. Results and failures are always reported in the caller's input
+// order, so a pool run is deterministic regardless of worker scheduling.
 type Pool struct {
 	workers int
 }
