@@ -1,13 +1,13 @@
 // Command fcfleet runs the FACE-CHANGE view-distribution control plane in
 // any of its three roles:
 //
-//   - demo (default, -nodes N): an in-process fleet — one server, N
-//     runtime VMs joined over pipes — profiles the catalog, delta-syncs
-//     it to every node, runs per-node workloads, hot-pushes an updated
-//     view, and prints per-node convergence digests. With -listen, the
-//     fleet-wide /metrics (central hub + control plane) stays served
-//     after the run. With -shards N the control plane becomes a sharded
-//     plane (ring-partitioned catalog, homing nodes, relayed telemetry);
+//   - demo (default, -nodes N): an in-process fleet — a one-shard control
+//     plane, N runtime VMs joined over pipes — profiles the catalog,
+//     delta-syncs it to every node, runs per-node workloads, hot-pushes
+//     an updated view, and prints per-node convergence digests. With
+//     -listen, the fleet-wide /metrics (central hub + control plane)
+//     stays served after the run. With -shards N the plane has N shards
+//     (ring-partitioned catalog, homing nodes, relayed telemetry);
 //     -kill-shard severs one shard mid-run to demo failover, and -ring
 //     prints the consistent-hash ownership of every view.
 //

@@ -1,18 +1,17 @@
 // Fleet-scale run: the control-plane experiment the single-machine eval
-// cannot express. One fleet.Server holds the catalog of profiled kernel
-// views; N runtime VMs join as fleet nodes over in-process pipes, delta-
-// sync the catalog through one shared host chunk store, run their
-// workloads under the synced views, and relay telemetry into one central
-// hub. The result quantifies the fleet properties the paper's production
-// story needs: convergence (identical catalog digest on every node),
-// delta-sync savings (later joins transfer fewer bytes and ride the
-// interned-page cache), and hot push (an updated view reaches every node
-// mid-flight).
+// cannot express. A control plane of one or more shards holds the catalog
+// of profiled kernel views; N runtime VMs join as fleet nodes over
+// in-process pipes, delta-sync the catalog through one shared host chunk
+// store, run their workloads under the synced views, and relay telemetry
+// into one central hub. The result quantifies the fleet properties the
+// paper's production story needs: convergence (identical catalog digest
+// on every node), delta-sync savings (later joins transfer fewer bytes
+// and ride the interned-page cache), and hot push (an updated view
+// reaches every node mid-flight).
 package eval
 
 import (
 	"fmt"
-	"net"
 	"sort"
 	"strings"
 	"time"
@@ -45,11 +44,12 @@ type FleetConfig struct {
 	// nil; either way RunFleet does not close it — the caller may keep
 	// serving /metrics from it after the run.
 	Hub *telemetry.Hub
-	// Shards, when >1, runs the control plane as a sharded multi-region
-	// plane: the catalog partitions onto a consistent-hash ring (mirrored
-	// everywhere, so any shard serves any chunk), nodes auto-discover the
-	// topology and home onto their ring shard, and telemetry relays
-	// shard-local then hub-to-hub into the aggregator shard.
+	// Shards is the control plane's shard count; 0 and 1 both mean one
+	// shard, a single server. With more, the catalog partitions onto a
+	// consistent-hash ring (mirrored everywhere, so any shard serves any
+	// chunk), nodes auto-discover the topology and home onto their ring
+	// shard, and telemetry relays shard-local then hub-to-hub into the
+	// aggregator shard.
 	Shards int
 	// KillShard, in sharded mode, severs one non-aggregator shard while
 	// the node workloads (and their telemetry) are in flight — the
@@ -61,7 +61,7 @@ type FleetConfig struct {
 	// nodes after the workloads ran (so real recovered spans and COW
 	// deltas travel): "app@node-0>node-1" ("→" also accepted). A dst of
 	// "auto" picks the target whose ring home matches the view's owner
-	// shard (any other node on unsharded planes).
+	// shard (the smallest other node ID on one shard).
 	Migrate string
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
@@ -125,8 +125,8 @@ type FleetResult struct {
 	// Migration describes the live view-state move, when one was requested.
 	Migration *MigrationSummary `json:"migration,omitempty"`
 
-	// Server stays queryable after the run (catalog, WriteMetrics). On a
-	// sharded plane it is the aggregator shard's server.
+	// Server stays queryable after the run (catalog, WriteMetrics): the
+	// aggregator shard's server, the only one on a one-shard plane.
 	Server *fleet.Server `json:"-"`
 }
 
@@ -139,7 +139,7 @@ type MigrationSummary struct {
 	DeltasApplied int    `json:"deltas_applied"`
 	DeltasSkipped int    `json:"deltas_skipped"`
 	// RingAligned reports whether the target's ring home owns the view's
-	// digest (always false on unsharded planes).
+	// digest (always false on a one-shard plane).
 	RingAligned bool `json:"ring_aligned,omitempty"`
 }
 
@@ -214,7 +214,7 @@ func (r *FleetResult) RingLayout() string {
 }
 
 // RunFleet profiles the configured applications, publishes their views to
-// a control-plane server, joins Nodes runtime VMs sequentially (so the
+// the control plane, joins Nodes runtime VMs sequentially (so the
 // delta-sync saving of each later join is measurable), runs every node's
 // workload under its synced views, hot-pushes a union view mid-fleet, and
 // reports convergence.
@@ -245,71 +245,41 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	}
 	sort.Strings(modules)
 
-	// Phase 2: control plane — one server, or a sharded plane.
+	// Phase 2: the control plane — max(Shards, 1) shards, publishes
+	// routed to their ring owners.
 	hub := cfg.Hub
 	if hub == nil {
 		hub = telemetry.NewHub(telemetry.HubConfig{})
 		hub.Start()
 	}
-	var (
-		srv     *fleet.Server           // metrics/catalog handle (aggregator on a plane)
-		plane   *fleetshard.Plane       // nil unless sharded
-		publish func(*kview.View) error // routes to the owner
-		digest  func() string           // expected convergence digest
-		wiring  func(nodeID string) (*fleetshard.Homing, func() (net.Conn, error), func(fleet.ShardMap))
-	)
-	if cfg.Shards > 1 {
-		infos := make([]fleet.ShardInfo, cfg.Shards)
-		for i := range infos {
-			infos[i] = fleet.ShardInfo{ID: fmt.Sprintf("s-%d", i)}
-		}
-		var err error
-		plane, err = fleetshard.NewPlane(fleetshard.PlaneConfig{Shards: infos, Hub: hub, Logf: cfg.Logf})
-		if err != nil {
-			return nil, fmt.Errorf("eval: plane: %w", err)
-		}
-		defer plane.Close()
-		agg, _ := plane.Member(plane.Aggregator())
-		srv = agg.Server()
-		publish = plane.Publish
-		digest = plane.Digest
-		wiring = func(id string) (*fleetshard.Homing, func() (net.Conn, error), func(fleet.ShardMap)) {
-			h := plane.NodeDialer(id)
-			return h, h.Dial, h.OnShardMap
-		}
-	} else {
-		srv = fleet.NewServer(fleet.ServerConfig{Hub: hub, Logf: cfg.Logf})
-		dial := func() (net.Conn, error) {
-			c, s := net.Pipe()
-			go srv.ServeConn(s)
-			return c, nil
-		}
-		publish = srv.Publish
-		digest = func() string { return srv.Catalog().Manifest().DigestString() }
-		wiring = func(string) (*fleetshard.Homing, func() (net.Conn, error), func(fleet.ShardMap)) {
-			return nil, dial, nil
-		}
+	infos := make([]fleet.ShardInfo, max(cfg.Shards, 1))
+	for i := range infos {
+		infos[i].ID = fmt.Sprintf("s-%d", i)
 	}
+	plane, err := fleetshard.NewPlane(fleetshard.PlaneConfig{Shards: infos, Hub: hub, Logf: cfg.Logf})
+	if err != nil {
+		return nil, fmt.Errorf("eval: plane: %w", err)
+	}
+	defer plane.Close()
+	agg, _ := plane.Member(plane.Aggregator())
+	srv := agg.Server()
 	for _, name := range cfg.Apps {
-		if err := publish(views[name]); err != nil {
+		if err := plane.Publish(views[name]); err != nil {
 			return nil, fmt.Errorf("eval: publish %s: %w", name, err)
 		}
 	}
-	if plane != nil {
-		if err := plane.WaitConverged(30 * time.Second); err != nil {
-			return nil, fmt.Errorf("eval: %w", err)
-		}
+	if err := plane.WaitConverged(30 * time.Second); err != nil {
+		return nil, fmt.Errorf("eval: %w", err)
 	}
 
 	// Phase 3: sequential joins through one shared host chunk store.
 	store := fleet.NewChunkStore()
-	initial := digest()
+	initial := plane.Digest()
 	type member struct {
 		node  *fleet.Node
 		vm    *facechange.VM
 		app   apps.App
 		homer *fleetshard.Homing
-		agent *migrate.Agent
 	}
 	var members []member
 	defer func() {
@@ -324,15 +294,14 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 			return nil, fmt.Errorf("eval: node %d: %w", i, err)
 		}
 		id := fmt.Sprintf("node-%d", i)
-		homer, dial, onMap := wiring(id)
-		agent := migrate.NewAgent(vm.Runtime, nil)
+		homer := plane.NodeDialer(id)
 		n := fleet.NewNode(fleet.NodeConfig{
 			ID:            id,
-			Dial:          dial,
-			OnShardMap:    onMap,
+			Dial:          homer.Dial,
+			OnShardMap:    homer.OnShardMap,
 			Store:         store,
 			Runtime:       vm.Runtime,
-			Migrate:       agent,
+			Migrate:       migrate.NewAgent(vm.Runtime, nil),
 			FlushInterval: 5 * time.Millisecond,
 			Logf:          cfg.Logf,
 		})
@@ -347,15 +316,15 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		}
 		lastJoin = in
 		cfg.Logf("fleet: node-%d joined: %d bytes, digest %s", i, in, n.Digest())
-		members = append(members, member{node: n, vm: vm, app: list[i%len(list)], homer: homer, agent: agent})
+		members = append(members, member{node: n, vm: vm, app: list[i%len(list)], homer: homer})
 	}
 
 	// Phase 4: per-node workloads under the synced views, concurrently.
-	// In sharded mode with KillShard, one non-aggregator shard dies while
+	// With KillShard on several shards, one non-aggregator shard dies while
 	// these workloads stream telemetry: its nodes fail over along the
 	// ring, and nothing downstream of here is allowed to notice.
 	killed := ""
-	if plane != nil && cfg.KillShard {
+	if cfg.KillShard {
 		for _, id := range plane.Alive() {
 			if id != plane.Aggregator() {
 				killed = id
@@ -403,49 +372,25 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 			if len(candidates) == 0 {
 				return nil, fmt.Errorf("eval: migrate %s: no target candidates", app)
 			}
-			if plane != nil {
-				var vd fleet.Hash
-				found := false
-				for _, vm := range srv.Catalog().Manifest().Views {
-					if vm.Name == app {
-						vd, found = vm.Digest, true
-						break
-					}
+			var vd fleet.Hash
+			found := false
+			for _, vm := range srv.Catalog().Manifest().Views {
+				if vm.Name == app {
+					vd, found = vm.Digest, true
+					break
 				}
-				if !found {
-					return nil, fmt.Errorf("eval: migrate %s: not in the catalog", app)
-				}
-				dst, aligned = plane.PickMigrateTarget(vd, candidates)
-			} else {
-				dst = candidates[0]
 			}
+			if !found {
+				return nil, fmt.Errorf("eval: migrate %s: not in the catalog", app)
+			}
+			dst, aligned = plane.PickMigrateTarget(vd, candidates)
+			// On one shard every node homes on the owner: alignment says
+			// nothing there.
+			aligned = aligned && cfg.Shards > 1
 		}
-		var mr *fleet.MigrateResult
-		if plane != nil {
-			mr, err = plane.Migrate(app, src, dst, 15*time.Second)
-		} else {
-			mr, err = srv.Migrate(app, src, dst, 15*time.Second)
-		}
+		mr, err := plane.Migrate(app, src, dst, 15*time.Second)
 		if err != nil {
 			return nil, fmt.Errorf("eval: migrate %s %s>%s: %w", app, src, dst, err)
-		}
-		// The commit directive lands on the source asynchronously; wait for
-		// the teardown so the hot-push resync below starts from a settled
-		// source.
-		var srcAgent *migrate.Agent
-		for i := range members {
-			if fmt.Sprintf("node-%d", i) == src {
-				srcAgent = members[i].agent
-			}
-		}
-		if srcAgent != nil {
-			deadline := time.Now().Add(10 * time.Second)
-			for srcAgent.Frozen(app) {
-				if time.Now().After(deadline) {
-					return nil, fmt.Errorf("eval: migrate %s: source commit never landed", app)
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
 		}
 		migration = &MigrationSummary{
 			App: app, Src: src, Dst: dst,
@@ -457,46 +402,30 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		cfg.Logf("fleet: migrated %s %s>%s (%dB image, %d deltas)", app, src, dst, mr.ImageBytes, mr.DeltasApplied)
 	}
 
-	// Phase 5: hot push mid-fleet — a union view reaches every node (on a
-	// plane: routed to its ring owner, mirrored everywhere, discovered by
-	// each node from whichever shard it now homes on).
+	// Phase 5: hot push mid-fleet — a union view reaches every node:
+	// routed to its ring owner, mirrored everywhere, discovered by each
+	// node from whichever shard it now homes on.
 	var all []*kview.View
 	for _, name := range cfg.Apps {
 		all = append(all, views[name])
 	}
 	union := kview.UnionViews("fleetwide", all...)
-	if err := publish(union); err != nil {
+	if err := plane.Publish(union); err != nil {
 		return nil, fmt.Errorf("eval: hot push: %w", err)
 	}
-	final := digest()
+	final := plane.Digest()
 	for _, m := range members {
 		if err := m.node.WaitDigest(final, 30*time.Second); err != nil {
 			return nil, fmt.Errorf("eval: hot push convergence: %w", err)
 		}
 	}
 
-	// Drain each node's relay buffer — and, on a plane, the shard relay
-	// queues — before reading the central counters.
-	for _, m := range members {
-		deadline := time.Now().Add(10 * time.Second)
-		for m.node.Telemetry().Len() > 0 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
+	nodes := make([]*fleet.Node, len(members))
+	for i, m := range members {
+		nodes[i] = m.node
 	}
-	if plane != nil {
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			queued := 0
-			for _, id := range plane.Alive() {
-				if m, ok := plane.Member(id); ok {
-					queued += m.QueueLen()
-				}
-			}
-			if queued == 0 {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
+	if err := fleet.WaitRelayed(30*time.Second, nodes...); err != nil {
+		return nil, fmt.Errorf("eval: %w", err)
 	}
 
 	res := &FleetResult{
@@ -508,7 +437,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		Migration:      migration,
 		Server:         srv,
 	}
-	if plane != nil {
+	if cfg.Shards > 1 {
 		res.Shards = cfg.Shards
 		res.Aggregator = plane.Aggregator()
 		res.KilledShard = killed
@@ -537,7 +466,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 			Retries:  s.Retries,
 			Drops:    s.Drops,
 		}
-		if m.homer != nil {
+		if cfg.Shards > 1 {
 			nr.Home = m.homer.Home()
 		}
 		res.Nodes = append(res.Nodes, nr)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -313,6 +314,31 @@ func (n *Node) WaitDigest(digest string, timeout time.Duration) error {
 	}
 }
 
+// WaitRelayed blocks until every node's telemetry relay buffer is empty,
+// or fails once the timeout passes, naming the nodes still holding
+// events. A node commits its buffer only on the aggregation point's
+// acknowledgement, and a relaying shard defers that until the aggregator
+// has admitted the batch, so empty buffers mean every event is in the
+// aggregator's hub.
+func WaitRelayed(timeout time.Duration, nodes ...*Node) error {
+	deadline := time.Now().Add(timeout)
+	for {
+		var held []string
+		for _, n := range nodes {
+			if k := n.buf.Len(); k > 0 {
+				held = append(held, fmt.Sprintf("%s (%d events)", n.cfg.ID, k))
+			}
+		}
+		if len(held) == 0 {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("fleet: telemetry not relayed after %v: %s", timeout, strings.Join(held, ", "))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // run is the reconnect loop: dial, run a session, and on failure retry
 // with exponential backoff plus jitter. The last complete catalog keeps
 // serving throughout outages.
@@ -409,7 +435,9 @@ type session struct {
 	// server's commit-or-abort directive. Session-goroutine-only. Teardown
 	// aborts every entry, so a node that loses its control-plane session
 	// mid-migration restores its own state instead of stranding it.
-	frozen map[string]struct{}
+	// Each entry holds the exchange that froze the app; only a directive
+	// for that exchange settles it.
+	frozen map[string]uint64
 
 	// telScratch is the relay's batch buffer, reused across flushes so the
 	// steady-state peek is allocation-free.
@@ -432,7 +460,7 @@ func (n *Node) session(raw net.Conn) error {
 	n.conn = raw
 	n.mu.Unlock()
 
-	s := &session{node: n, conn: conn, frames: make(chan frame, 64), frozen: make(map[string]struct{})}
+	s := &session{node: n, conn: conn, frames: make(chan frame, 64), frozen: make(map[string]uint64)}
 	defer func() {
 		for app := range s.frozen {
 			if err := n.cfg.Migrate.Abort(app); err != nil {
@@ -599,7 +627,7 @@ func (s *session) handleMigrateOffer(payload []byte) error {
 		}
 		return refuse(err.Error())
 	}
-	s.frozen[app] = struct{}{}
+	s.frozen[app] = req
 	n.logf("fleet: node %q: exported %q for migration to %q (%d bytes, final seq %d)",
 		n.cfg.ID, app, dst, len(img), finalSeq)
 	return s.write(msgMigrateState, encodeMigrateState(req, sha256.Sum256(img), img))
@@ -660,38 +688,49 @@ func (s *session) handleMigrateImport(payload []byte) error {
 
 // handleMigrateDirective resolves a frozen checkpoint: commit (the
 // migration landed on the target — unload here) or abort (restore the
-// app exactly as it was).
+// app exactly as it was). It answers with a migrate-ack for the same
+// exchange once Commit or Abort has returned, so the server's migration
+// returns only after the source has settled.
 func (s *session) handleMigrateDirective(payload []byte) error {
-	_, app, ok, _, _, detail, err := decodeMigrateAck(payload)
+	req, app, commit, _, _, detail, err := decodeMigrateAck(payload)
 	if err != nil {
 		return err
 	}
 	n := s.node
-	if _, frozen := s.frozen[app]; !frozen {
-		// A directive for state this session does not hold — stale replay
-		// after a timeout already aborted it. Nothing to do.
-		return nil
+	settled := func(err error) error {
+		if err != nil {
+			n.logf("fleet: node %q: settle migration of %q: %v", n.cfg.ID, app, err)
+			return s.write(msgMigrateAck, encodeMigrateAck(req, app, false, 0, 0, err.Error()))
+		}
+		return s.write(msgMigrateAck, encodeMigrateAck(req, app, true, 0, 0, ""))
+	}
+	if froze, ok := s.frozen[app]; !ok || froze != req {
+		// This exchange froze nothing here (the offer was refused, or the
+		// app is frozen for another exchange): an abort has nothing to
+		// thaw, and a commit has nothing to unload.
+		if commit {
+			return settled(fmt.Errorf("%q is not frozen for exchange %d on this session", app, req))
+		}
+		return settled(nil)
 	}
 	delete(s.frozen, app)
-	if ok {
-		if cerr := n.cfg.Migrate.Commit(app); cerr != nil {
-			n.logf("fleet: node %q: commit migrated %q: %v", n.cfg.ID, app, cerr)
-			return nil
-		}
-		// The app's state now lives on the target; drop the applied-view
-		// entry so a future catalog sync reloads the view pristine.
-		n.mu.Lock()
-		delete(n.loaded, app)
-		n.mu.Unlock()
-		n.logf("fleet: node %q: migration of %q committed, view unloaded", n.cfg.ID, app)
-	} else {
-		if aerr := n.cfg.Migrate.Abort(app); aerr != nil {
-			n.logf("fleet: node %q: abort migration of %q: %v", n.cfg.ID, app, aerr)
-			return nil
+	if !commit {
+		if err := n.cfg.Migrate.Abort(app); err != nil {
+			return settled(err)
 		}
 		n.logf("fleet: node %q: migration of %q aborted (%s), state restored", n.cfg.ID, app, detail)
+		return settled(nil)
 	}
-	return nil
+	if err := n.cfg.Migrate.Commit(app); err != nil {
+		return settled(err)
+	}
+	// The app's state now lives on the target; drop the applied-view
+	// entry so a future catalog sync reloads the view pristine.
+	n.mu.Lock()
+	delete(n.loaded, app)
+	n.mu.Unlock()
+	n.logf("fleet: node %q: migration of %q committed, view unloaded", n.cfg.ID, app)
+	return settled(nil)
 }
 
 // resolveView reassembles the catalog view with the given content digest

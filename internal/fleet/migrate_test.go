@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -58,14 +60,19 @@ func (c *ackStallConn) Write(p []byte) (int, error) {
 // migrateMember is one runtime VM joined to the test fleet with a live
 // migration agent.
 type migrateMember struct {
-	n     *fleet.Node
-	vm    *facechange.VM
-	agent *migrate.Agent
+	n  *fleet.Node
+	vm *facechange.VM
 }
 
 // migrateFleet profiles one application, publishes it, and joins count
 // runtime-backed nodes (node-0, node-1, ...) ready to migrate.
 func migrateFleet(t *testing.T, count int) (*fleet.Server, apps.App, []*migrateMember) {
+	return migrateFleetWith(t, count, nil)
+}
+
+// migrateFleetWith is migrateFleet with node i's agent replaced by
+// wrap(i, agent) when wrap is non-nil.
+func migrateFleetWith(t *testing.T, count int, wrap func(i int, a *migrate.Agent) fleet.MigrationAgent) (*fleet.Server, apps.App, []*migrateMember) {
 	t.Helper()
 	app, ok := apps.ByName("apache")
 	if !ok {
@@ -86,7 +93,11 @@ func migrateFleet(t *testing.T, count int) (*fleet.Server, apps.App, []*migrateM
 		if err != nil {
 			t.Fatal(err)
 		}
-		agent := migrate.NewAgent(vm.Runtime, nil)
+		a := migrate.NewAgent(vm.Runtime, nil)
+		var agent fleet.MigrationAgent = a
+		if wrap != nil {
+			agent = wrap(i, a)
+		}
 		n := fleet.NewNode(fleet.NodeConfig{
 			ID:            fmt.Sprintf("node-%d", i),
 			Dial:          pipeDialer(srv),
@@ -99,7 +110,7 @@ func migrateFleet(t *testing.T, count int) (*fleet.Server, apps.App, []*migrateM
 		if err := n.WaitDigest(srv.Catalog().Manifest().DigestString(), waitFor); err != nil {
 			t.Fatal(err)
 		}
-		m := &migrateMember{n: n, vm: vm, agent: agent}
+		m := &migrateMember{n: n, vm: vm}
 		t.Cleanup(func() { m.n.Close() })
 		members = append(members, m)
 	}
@@ -117,22 +128,11 @@ func runWorkload(t *testing.T, m *migrateMember, app apps.App, seed int64) {
 	}
 }
 
-// waitThawed waits for the source's async commit/abort directive to land.
-func waitThawed(t *testing.T, m *migrateMember, app string) {
-	t.Helper()
-	deadline := time.Now().Add(waitFor)
-	for m.agent.Frozen(app) {
-		if time.Now().After(deadline) {
-			t.Fatal("source never received its directive")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 // TestServerMigrateEndToEnd drives the full two-phase cutover between two
 // runtime-backed nodes: after the move the target binds the view (with
 // the source's recovered state shipped as COW deltas) and the source has
-// torn it down through the ordinary unload path.
+// torn it down through the ordinary unload path — by the time Migrate
+// returns, with no wait.
 func TestServerMigrateEndToEnd(t *testing.T) {
 	srv, app, members := migrateFleet(t, 2)
 	runWorkload(t, members[0], app, 1)
@@ -141,7 +141,7 @@ func TestServerMigrateEndToEnd(t *testing.T) {
 		t.Fatal("precondition: source has no view bound")
 	}
 
-	mr, err := srv.Migrate(app.Name, "node-0", "node-1", waitFor)
+	mr, err := fleet.Migrate(srv, srv, app.Name, "node-0", "node-1", waitFor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,6 @@ func TestServerMigrateEndToEnd(t *testing.T) {
 	if mr.ImageBytes == 0 {
 		t.Fatal("empty migration image")
 	}
-	waitThawed(t, members[0], app.Name)
 
 	if got := rt0.ViewIndex(app.Name); got != core.FullView {
 		t.Fatalf("source still binds the view (%d) after commit", got)
@@ -168,10 +167,10 @@ func TestServerMigrateEndToEnd(t *testing.T) {
 	runWorkload(t, members[1], app, 2)
 
 	// Guard rails.
-	if _, err := srv.Migrate(app.Name, "node-1", "node-1", waitFor); err == nil {
+	if _, err := fleet.Migrate(srv, srv, app.Name, "node-1", "node-1", waitFor); err == nil {
 		t.Error("self-migration accepted")
 	}
-	if _, err := srv.Migrate(app.Name, "node-1", "no-such-node", time.Second); err == nil {
+	if _, err := fleet.Migrate(srv, srv, app.Name, "node-1", "no-such-node", time.Second); err == nil {
 		t.Error("migration to an unknown node accepted")
 	}
 }
@@ -186,11 +185,10 @@ func TestMigrateRightAfterJoin(t *testing.T) {
 	if !srv.HasNode("node-1") {
 		t.Fatal("node-1 reports its catalog synced but has no session on the server")
 	}
-	mr, err := srv.Migrate(app.Name, "node-1", "node-0", waitFor)
+	mr, err := fleet.Migrate(srv, srv, app.Name, "node-1", "node-0", waitFor)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitThawed(t, members[1], app.Name)
 	if mr.Src != "node-1" || members[1].vm.Runtime.ViewIndex(app.Name) != core.FullView {
 		t.Fatalf("source kept its view after the migration: %+v", mr)
 	}
@@ -199,8 +197,8 @@ func TestMigrateRightAfterJoin(t *testing.T) {
 // TestMigrateAbortRestoresSource kills the target node between the
 // checkpoint and the transfer — the mid-migration death ISSUE's satellite
 // names. The orchestration aborts, the source thaws, and its view state
-// is exactly what it was: same index, same recovered spans, still
-// serving.
+// is exactly what it was — same index, same recovered spans, still
+// serving — as soon as the abort step returns.
 func TestMigrateAbortRestoresSource(t *testing.T) {
 	srv, app, members := migrateFleet(t, 2)
 	runWorkload(t, members[0], app, 1)
@@ -215,7 +213,8 @@ func TestMigrateAbortRestoresSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !members[0].agent.Frozen(app.Name) {
+	// Freeze unbinds the name.
+	if rt0.ViewIndex(app.Name) != core.FullView {
 		t.Fatal("source not frozen after the checkpoint")
 	}
 
@@ -224,8 +223,9 @@ func TestMigrateAbortRestoresSource(t *testing.T) {
 	if _, _, err := srv.DeliverImport(req, app.Name, "node-1", img, time.Second); err == nil {
 		t.Fatal("import on a dead node succeeded")
 	}
-	srv.SignalOutcome(req, app.Name, "node-0", false, "target died mid-migration")
-	waitThawed(t, members[0], app.Name)
+	if err := srv.SignalOutcome(req, app.Name, "node-0", false, "target died mid-migration", waitFor); err != nil {
+		t.Fatal(err)
+	}
 
 	if got := rt0.ViewIndex(app.Name); got != idx {
 		t.Fatalf("view index %d after abort, want %d (source not restored)", got, idx)
@@ -244,7 +244,7 @@ func TestMigrateAbortRestoresSource(t *testing.T) {
 // TestMigrateSourceTeardownThaws covers the other death: the SOURCE's
 // session ends while a checkpoint is frozen awaiting its directive. The
 // session teardown must thaw it — frozen state never outlives the
-// session that froze it.
+// session that froze it, and Node.Close returns only after the thaw.
 func TestMigrateSourceTeardownThaws(t *testing.T) {
 	srv, app, members := migrateFleet(t, 2)
 	runWorkload(t, members[0], app, 1)
@@ -254,15 +254,169 @@ func TestMigrateSourceTeardownThaws(t *testing.T) {
 	if _, _, err := srv.RequestExport(app.Name, "node-0", "node-1", waitFor); err != nil {
 		t.Fatal(err)
 	}
-	if !members[0].agent.Frozen(app.Name) {
+	if rt0.ViewIndex(app.Name) != core.FullView {
 		t.Fatal("source not frozen after the checkpoint")
 	}
 	members[0].n.Close()
-	waitThawed(t, members[0], app.Name)
 	if got := rt0.ViewIndex(app.Name); got != idx {
 		t.Fatalf("view index %d after teardown thaw, want %d", got, idx)
 	}
 	if err := rt0.CheckSwitchState(); err != nil {
 		t.Fatalf("source inconsistent after teardown thaw: %v", err)
+	}
+}
+
+// gatedAgent holds the source's Commit or Abort (whichever gate is
+// non-nil) until the test closes the gate, signalling entered first.
+type gatedAgent struct {
+	*migrate.Agent
+	commitGate, abortGate chan struct{}
+	entered               chan struct{}
+	settled               atomic.Bool // the wrapped Commit or Abort returned
+}
+
+func (g *gatedAgent) hold(gate chan struct{}) {
+	if gate != nil {
+		close(g.entered)
+		<-gate
+	}
+}
+
+func (g *gatedAgent) Commit(app string) error {
+	g.hold(g.commitGate)
+	defer g.settled.Store(true)
+	return g.Agent.Commit(app)
+}
+
+func (g *gatedAgent) Abort(app string) error {
+	g.hold(g.abortGate)
+	defer g.settled.Store(true)
+	return g.Agent.Abort(app)
+}
+
+// TestMigrateWaitsForSourceOutcome pins the directive round trip: with the
+// source's Commit (or, when the target is gone, its Abort) held open,
+// Migrate does not return; once the call returns, Migrate does too, and
+// the source's view state reads settled without a poll — unbound after a
+// commit, back at its old index after an abort.
+func TestMigrateWaitsForSourceOutcome(t *testing.T) {
+	for _, commit := range []bool{true, false} {
+		name := map[bool]string{true: "commit", false: "abort"}[commit]
+		t.Run(name, func(t *testing.T) {
+			gate := make(chan struct{})
+			src := &gatedAgent{entered: make(chan struct{})}
+			if commit {
+				src.commitGate = gate
+			} else {
+				src.abortGate = gate
+			}
+			srv, app, members := migrateFleetWith(t, 2, func(i int, a *migrate.Agent) fleet.MigrationAgent {
+				if i != 0 {
+					return a
+				}
+				src.Agent = a
+				return src
+			})
+			// Registered after the nodes' cleanups, so it runs first: a
+			// failing run must not leave a node's teardown stuck on the gate.
+			var release sync.Once
+			open := func() { release.Do(func() { close(gate) }) }
+			t.Cleanup(open)
+			runWorkload(t, members[0], app, 1)
+			rt0 := members[0].vm.Runtime
+			idx := rt0.ViewIndex(app.Name)
+			if idx == core.FullView {
+				t.Fatal("precondition: source has no view bound")
+			}
+			if !commit {
+				// The import fails on a vanished target, so Migrate aborts.
+				members[1].n.Close()
+			}
+
+			done := make(chan error, 1)
+			go func() {
+				_, err := fleet.Migrate(srv, srv, app.Name, "node-0", "node-1", waitFor)
+				done <- err
+			}()
+			select {
+			case <-src.entered:
+			case err := <-done:
+				t.Fatalf("Migrate returned (%v) before the source's %s began", err, name)
+			case <-time.After(waitFor):
+				t.Fatalf("the source's %s never began", name)
+			}
+			select {
+			case err := <-done:
+				t.Fatalf("Migrate returned (%v) while the source's %s was still running", err, name)
+			case <-time.After(50 * time.Millisecond):
+			}
+			open()
+			err := <-done
+			if !src.settled.Load() {
+				t.Fatalf("Migrate returned before the source's %s did", name)
+			}
+			if commit {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := rt0.ViewIndex(app.Name); got != core.FullView {
+					t.Fatalf("source binds the view (%d) after the commit", got)
+				}
+				if rt0.ViewByIndex(idx) != nil {
+					t.Fatalf("source still holds view %d after the commit", idx)
+				}
+			} else {
+				if err == nil {
+					t.Fatal("migration to a closed node succeeded")
+				}
+				if got := rt0.ViewIndex(app.Name); got != idx {
+					t.Fatalf("view index %d after the abort, want %d", got, idx)
+				}
+			}
+			if err := rt0.CheckSwitchState(); err != nil {
+				t.Fatalf("source inconsistent after the %s: %v", name, err)
+			}
+		})
+	}
+}
+
+// slowFreezeAgent delays Freeze, so an export can time out before the
+// source has frozen.
+type slowFreezeAgent struct {
+	*migrate.Agent
+	delay time.Duration
+}
+
+func (s *slowFreezeAgent) Freeze(app string) error {
+	time.Sleep(s.delay)
+	return s.Agent.Freeze(app)
+}
+
+// TestMigrateExportTimeoutThaws: the source freezes only after the export
+// has timed out. Migrate still fails, but its abort reaches the source
+// behind the offer, so by the time Migrate returns the source has thawed
+// and a retry can move the app.
+func TestMigrateExportTimeoutThaws(t *testing.T) {
+	const timeout = 500 * time.Millisecond
+	srv, app, members := migrateFleetWith(t, 2, func(i int, a *migrate.Agent) fleet.MigrationAgent {
+		if i != 0 {
+			return a
+		}
+		return &slowFreezeAgent{Agent: a, delay: timeout * 3 / 2}
+	})
+	runWorkload(t, members[0], app, 1)
+	rt0 := members[0].vm.Runtime
+	idx := rt0.ViewIndex(app.Name)
+	if idx == core.FullView {
+		t.Fatal("precondition: source has no view bound")
+	}
+	if _, err := fleet.Migrate(srv, srv, app.Name, "node-0", "node-1", timeout); err == nil {
+		t.Fatal("export outlasting its timeout succeeded")
+	}
+	if got := rt0.ViewIndex(app.Name); got != idx {
+		t.Fatalf("view index %d after the failed export, want %d (source left frozen)", got, idx)
+	}
+	if _, err := fleet.Migrate(srv, srv, app.Name, "node-0", "node-1", 2*timeout); err != nil {
+		t.Fatalf("retry after the failed export: %v", err)
 	}
 }

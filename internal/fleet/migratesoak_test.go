@@ -106,13 +106,12 @@ func TestMigrateSoakUnderChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		agent := migrate.NewAgent(vm.Runtime, nil)
 		n := fleet.NewNode(fleet.NodeConfig{
 			ID:            fmt.Sprintf("node-%d", i),
 			Dial:          pipeDialer(srv),
 			Store:         store,
 			Runtime:       vm.Runtime,
-			Migrate:       agent,
+			Migrate:       migrate.NewAgent(vm.Runtime, nil),
 			FlushInterval: 5 * time.Millisecond,
 			Logf:          t.Logf,
 		})
@@ -120,7 +119,7 @@ func TestMigrateSoakUnderChurn(t *testing.T) {
 		if err := n.WaitDigest(srv.Catalog().Manifest().DigestString(), waitFor); err != nil {
 			t.Fatal(err)
 		}
-		m := &migrateMember{n: n, vm: vm, agent: agent}
+		m := &migrateMember{n: n, vm: vm}
 		t.Cleanup(func() { m.n.Close() })
 		members[i] = m
 	}
@@ -179,7 +178,9 @@ func TestMigrateSoakUnderChurn(t *testing.T) {
 	// Migrate every instance once, mid-churn. Catalog churn legitimately
 	// bounces node sessions ("catalog moved; re-syncing"), so a move that
 	// catches a node in its reconnect window fails transiently — every
-	// failure path thaws the source, making the retry safe.
+	// failure path thaws the source (a dead session's teardown may do so
+	// after Migrate returns, and the retry is refused until it has),
+	// making the retry safe.
 	for i := 0; i < nApps; i++ {
 		src := assign[i]
 		dst := (src + 1 + i%(nNodes-1)) % nNodes
@@ -187,23 +188,21 @@ func TestMigrateSoakUnderChurn(t *testing.T) {
 		var mr *fleet.MigrateResult
 		var err error
 		for deadline := time.Now().Add(waitFor); ; {
-			mr, err = srv.Migrate(name, fmt.Sprintf("node-%d", src), fmt.Sprintf("node-%d", dst), waitFor)
+			mr, err = fleet.Migrate(srv, srv, name, fmt.Sprintf("node-%d", src), fmt.Sprintf("node-%d", dst), waitFor)
 			if err == nil {
 				break
 			}
 			if time.Now().After(deadline) {
 				t.Fatalf("migrate %s node-%d>node-%d: %v", name, src, dst, err)
 			}
-			waitThawed(t, members[src], name)
 			time.Sleep(5 * time.Millisecond)
 		}
 		if mr.ImageBytes == 0 {
 			t.Fatalf("migrate %s: empty image", name)
 		}
-		// After the commit lands the source may legitimately re-load a
-		// pristine catalog copy at the next churn sync, so only the
-		// target binding is asserted here.
-		waitThawed(t, members[src], name)
+		// The commit has landed on the source; it may legitimately
+		// re-load a pristine catalog copy at the next churn sync, so only
+		// the target binding is asserted here.
 		if members[dst].vm.Runtime.ViewIndex(name) == core.FullView {
 			t.Fatalf("%s not bound on target node-%d", name, dst)
 		}
@@ -211,13 +210,15 @@ func TestMigrateSoakUnderChurn(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Exactness: every synthetic event reaches the hub exactly once.
-	deadline := time.Now().Add(waitFor)
-	for sink.count() < nNodes*eventsPerNode {
-		if time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Exactness: every synthetic event reaches the hub exactly once. Empty
+	// node buffers mean the server admitted every event into the hub, and
+	// one Drain then delivers them to the sink.
+	nodes := make([]*fleet.Node, len(members))
+	for i, m := range members {
+		nodes[i] = m.n
+	}
+	if err := fleet.WaitRelayed(waitFor, nodes...); err != nil {
+		t.Fatal(err)
 	}
 	hub.Drain()
 	if got := sink.count(); got != nNodes*eventsPerNode {

@@ -194,28 +194,36 @@ type MigrateResult struct {
 // transfer, import on the target, then the commit directive back to the
 // source (which unloads) — or, on any failure or timeout past the
 // checkpoint, an abort directive (the source thaws, restoring its state
-// exactly). Both endpoints must be connected sessions on this server;
-// cross-shard moves compose RequestExport/DeliverImport/SignalOutcome
-// across servers instead.
-func (s *Server) Migrate(app, src, dst string, timeout time.Duration) (*MigrateResult, error) {
+// exactly). from holds src's session and to holds dst's: one server for a
+// move within a shard, two plane members for a cross-shard one. The
+// directive is a round trip, so when Migrate returns with the source's
+// session alive, the source has unloaded or thawed. The outcome is
+// counted on from.
+func Migrate(from, to *Server, app, src, dst string, timeout time.Duration) (*MigrateResult, error) {
 	if src == dst {
 		return nil, fmt.Errorf("fleet: migrate %q: source and target are both %q", app, src)
 	}
-	req, img, err := s.RequestExport(app, src, dst, timeout)
+	req, img, err := from.RequestExport(app, src, dst, timeout)
+	var applied, skipped uint32
+	if err == nil {
+		applied, skipped, err = to.DeliverImport(req, app, dst, img, timeout)
+		if err == nil {
+			err = from.SignalOutcome(req, app, src, true, "", timeout)
+		} else {
+			err = errors.Join(err, from.SignalOutcome(req, app, src, false, err.Error(), timeout))
+		}
+	} else if req != 0 {
+		// The offer went out, so the source may freeze after the export
+		// timed out: tell it to abort.
+		err = errors.Join(err, from.SignalOutcome(req, app, src, false, err.Error(), timeout))
+	}
 	if err != nil {
-		s.migrateFails.Add(1)
+		from.migrateFails.Add(1)
 		return nil, err
 	}
-	applied, skipped, err := s.DeliverImport(req, app, dst, img, timeout)
-	if err != nil {
-		s.SignalOutcome(req, app, src, false, err.Error())
-		s.migrateFails.Add(1)
-		return nil, err
-	}
-	s.SignalOutcome(req, app, src, true, "")
-	s.migrations.Add(1)
-	s.logf("fleet: server: migrated %q %s→%s (%d image bytes, %d deltas applied, %d skipped)",
-		app, src, dst, len(img), applied, skipped)
+	from.migrations.Add(1)
+	from.logf("fleet: migrated %q %s(%s)→%s(%s) (%d image bytes, %d deltas applied, %d skipped)",
+		app, src, from.id, dst, to.id, len(img), applied, skipped)
 	return &MigrateResult{
 		App: app, Src: src, Dst: dst,
 		ImageBytes:    len(img),
@@ -227,7 +235,9 @@ func (s *Server) Migrate(app, src, dst string, timeout time.Duration) (*MigrateR
 // RequestExport runs the checkpoint phase against the source node: push a
 // migrate offer, await the state reply, verify the wire digest pin. On
 // success the source holds the app frozen until SignalOutcome decides
-// commit or abort. The returned req correlates the rest of the exchange.
+// commit or abort. The returned req correlates the rest of the exchange;
+// it is non-zero once an offer was pushed, even on failure, so a source
+// that froze after a timeout can still be told to abort.
 func (s *Server) RequestExport(app, src, dst string, timeout time.Duration) (req uint64, img []byte, err error) {
 	c := s.connFor(src)
 	if c == nil {
@@ -237,9 +247,6 @@ func (s *Server) RequestExport(app, src, dst string, timeout time.Duration) (req
 	f, err := c.roundTrip(req, msgMigrateOffer, encodeMigrateOffer(req, app, dst), timeout)
 	if err != nil {
 		return req, nil, fmt.Errorf("fleet: migrate %q: export from %q: %w", app, src, err)
-	}
-	if f.typ != msgMigrateState {
-		return req, nil, errProto("migrate %q: expected migrate-state from %q, got %s", app, src, msgName(f.typ))
 	}
 	_, digest, img, refusal, err := decodeMigrateState(f.payload)
 	if err != nil {
@@ -265,9 +272,6 @@ func (s *Server) DeliverImport(req uint64, app, dst string, img []byte, timeout 
 	if err != nil {
 		return 0, 0, fmt.Errorf("fleet: migrate %q: import on %q: %w", app, dst, err)
 	}
-	if f.typ != msgMigrateAck {
-		return 0, 0, errProto("migrate %q: expected migrate-ack from %q, got %s", app, dst, msgName(f.typ))
-	}
 	_, _, ok, applied, skipped, detail, err := decodeMigrateAck(f.payload)
 	if err != nil {
 		return 0, 0, err
@@ -278,15 +282,28 @@ func (s *Server) DeliverImport(req uint64, app, dst string, img []byte, timeout 
 	return applied, skipped, nil
 }
 
-// SignalOutcome sends the source its commit (ok) or abort directive. Best
-// effort: if the source session is gone, its own teardown already thawed
-// any frozen state.
-func (s *Server) SignalOutcome(req uint64, app, src string, ok bool, detail string) {
+// SignalOutcome sends the source its commit (ok) or abort directive and
+// waits for the source's migrate-ack, which it sends once its Commit or
+// Abort has returned: on a nil return the source has unloaded (commit) or
+// thawed (abort). If the source's session is gone, the session's own
+// teardown thaws the frozen state instead, and the error says so.
+func (s *Server) SignalOutcome(req uint64, app, src string, ok bool, detail string, timeout time.Duration) error {
 	c := s.connFor(src)
 	if c == nil {
-		return
+		return fmt.Errorf("fleet: migrate %q: source node %q not connected for the outcome", app, src)
 	}
-	_ = c.write(msgMigrateAck, encodeMigrateAck(req, app, ok, 0, 0, detail))
+	f, err := c.roundTrip(req, msgMigrateAck, encodeMigrateAck(req, app, ok, 0, 0, detail), timeout)
+	if err != nil {
+		return fmt.Errorf("fleet: migrate %q: outcome on %q: %w", app, src, err)
+	}
+	_, _, done, _, _, why, err := decodeMigrateAck(f.payload)
+	if err != nil {
+		return err
+	}
+	if !done {
+		return fmt.Errorf("fleet: migrate %q: source %q did not settle the outcome: %s", app, src, why)
+	}
+	return nil
 }
 
 // Serve accepts connections until the listener closes, handling each in
@@ -309,7 +326,7 @@ func (s *Server) Serve(ln net.Listener) error {
 // closes the conn on exit.
 func (s *Server) ServeConn(conn net.Conn) {
 	s.sessions.Add(1)
-	c := &serverConn{srv: s, conn: conn, updates: make(chan uint64, 1), pend: make(map[uint64]chan frame)}
+	c := &serverConn{srv: s, conn: conn, updates: make(chan uint64, 1), pend: make(map[pendKey]chan frame)}
 	defer conn.Close()
 
 	if err := c.handshake(); err != nil {
@@ -399,27 +416,39 @@ type serverConn struct {
 	updates chan uint64
 
 	// pend routes migrate replies (state, ack) back to the orchestration
-	// goroutine waiting in roundTrip, keyed by exchange id. The read loop
-	// is the conn's only reader, so request/reply must thread through it.
+	// goroutine waiting in roundTrip, keyed by exchange id and reply type:
+	// an exchange reuses its id for each phase, so a late reply to an
+	// earlier phase must not answer a later one. The read loop is the
+	// conn's only reader, so request/reply must thread through it.
 	pendMu     sync.Mutex
-	pend       map[uint64]chan frame
+	pend       map[pendKey]chan frame
 	pendClosed bool
 }
 
-// roundTrip pushes one migrate frame and waits for the correlated reply,
-// failing on timeout or session death.
+type pendKey struct {
+	req   uint64
+	reply byte
+}
+
+// roundTrip pushes one migrate frame and waits for the correlated reply
+// (migrate-state to an offer, migrate-ack otherwise), failing on timeout
+// or session death.
 func (c *serverConn) roundTrip(req uint64, typ byte, payload []byte, timeout time.Duration) (frame, error) {
+	key := pendKey{req: req, reply: msgMigrateAck}
+	if typ == msgMigrateOffer {
+		key.reply = msgMigrateState
+	}
 	ch := make(chan frame, 1)
 	c.pendMu.Lock()
 	if c.pendClosed {
 		c.pendMu.Unlock()
 		return frame{}, fmt.Errorf("session with node %q closed", c.nodeID)
 	}
-	c.pend[req] = ch
+	c.pend[key] = ch
 	c.pendMu.Unlock()
 	defer func() {
 		c.pendMu.Lock()
-		delete(c.pend, req)
+		delete(c.pend, key)
 		c.pendMu.Unlock()
 	}()
 	if err := c.write(typ, payload); err != nil {
@@ -444,9 +473,9 @@ func (c *serverConn) roundTrip(req uint64, typ byte, payload []byte, timeout tim
 func (c *serverConn) failPending() {
 	c.pendMu.Lock()
 	c.pendClosed = true
-	for req, ch := range c.pend {
+	for key, ch := range c.pend {
 		close(ch)
-		delete(c.pend, req)
+		delete(c.pend, key)
 	}
 	c.pendMu.Unlock()
 }
@@ -605,10 +634,10 @@ func (c *serverConn) readLoop() error {
 			if len(f.payload) < 8 {
 				return errProto("truncated %s from node %q", msgName(f.typ), c.nodeID)
 			}
-			req := binary.BigEndian.Uint64(f.payload)
+			key := pendKey{req: binary.BigEndian.Uint64(f.payload), reply: f.typ}
 			c.pendMu.Lock()
-			ch := c.pend[req]
-			delete(c.pend, req)
+			ch := c.pend[key]
+			delete(c.pend, key)
 			c.pendMu.Unlock()
 			if ch != nil {
 				ch <- f

@@ -446,14 +446,10 @@ func (p *Plane) MemberWithNode(node string) *Member {
 }
 
 // Migrate moves app's view state from node src to node dst, wherever on
-// the plane their sessions live: the export phase runs on the source's
-// shard, the import on the target's, and the commit-or-abort directive
-// goes back through the source's shard — the same two-phase cutover
-// fleet.Server.Migrate runs single-shard, composed across members.
+// the plane their sessions live: it locates the member holding each
+// node's session and runs fleet.Migrate across the two (one member when
+// both nodes home on the same shard).
 func (p *Plane) Migrate(app, src, dst string, timeout time.Duration) (*fleet.MigrateResult, error) {
-	if src == dst {
-		return nil, errShard("migrate %q: source and target are both %q", app, src)
-	}
 	srcM := p.MemberWithNode(src)
 	if srcM == nil {
 		return nil, errShard("migrate %q: source node %q has no session on any live shard", app, src)
@@ -462,26 +458,7 @@ func (p *Plane) Migrate(app, src, dst string, timeout time.Duration) (*fleet.Mig
 	if dstM == nil {
 		return nil, errShard("migrate %q: target node %q has no session on any live shard", app, dst)
 	}
-	if srcM == dstM {
-		return srcM.srv.Migrate(app, src, dst, timeout)
-	}
-	req, img, err := srcM.srv.RequestExport(app, src, dst, timeout)
-	if err != nil {
-		return nil, err
-	}
-	applied, skipped, err := dstM.srv.DeliverImport(req, app, dst, img, timeout)
-	if err != nil {
-		srcM.srv.SignalOutcome(req, app, src, false, err.Error())
-		return nil, err
-	}
-	srcM.srv.SignalOutcome(req, app, src, true, "")
-	p.logf("shard: migrated %q %s(%s)→%s(%s), %d image bytes", app, src, srcM.ID(), dst, dstM.ID(), len(img))
-	return &fleet.MigrateResult{
-		App: app, Src: src, Dst: dst,
-		ImageBytes:    len(img),
-		DeltasApplied: int(applied),
-		DeltasSkipped: int(skipped),
-	}, nil
+	return fleet.Migrate(srcM.srv, dstM.srv, app, src, dst, timeout)
 }
 
 // PickMigrateTarget chooses among candidate target nodes the one whose
@@ -794,9 +771,6 @@ func (m *Member) shutdown() {
 		}
 	})
 }
-
-// ID returns the shard's ID.
-func (m *Member) ID() string { return m.info.ID }
 
 // Server returns the member's control-plane server.
 func (m *Member) Server() *fleet.Server { return m.srv }

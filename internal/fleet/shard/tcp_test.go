@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"facechange/internal/core"
 	"facechange/internal/fleet"
 	"facechange/internal/migrate"
+	"facechange/internal/telemetry"
 )
 
 // TestTCPTransportCrossHostLoopback runs the whole plane over real TCP
@@ -148,7 +150,9 @@ func TestPickMigrateTargetRingAlignment(t *testing.T) {
 
 // TestPlaneMigrateCrossShard moves a live view between two runtime-backed
 // nodes homed on different shards: export on one member, import on
-// another, directive back through the first — the composed cutover.
+// another, directive back through the first — the composed cutover. The
+// source has unloaded by the time Migrate returns, and the plane's
+// metrics count the commit and a refused second move.
 func TestPlaneMigrateCrossShard(t *testing.T) {
 	app, ok := apps.ByName("apache")
 	if !ok {
@@ -188,28 +192,23 @@ func TestPlaneMigrateCrossShard(t *testing.T) {
 	}
 
 	store := fleet.NewChunkStore()
-	type member struct {
-		vm    *facechange.VM
-		agent *migrate.Agent
-	}
-	mk := func(id string) member {
+	mk := func(id string) *facechange.VM {
 		vm, err := facechange.NewVM(facechange.VMConfig{Modules: app.Modules})
 		if err != nil {
 			t.Fatal(err)
 		}
-		agent := migrate.NewAgent(vm.Runtime, nil)
 		h := p.NodeDialer(id)
 		cfg := fastNodeCfg(id, h)
 		cfg.Store = store
 		cfg.Runtime = vm.Runtime
-		cfg.Migrate = agent
+		cfg.Migrate = migrate.NewAgent(vm.Runtime, nil)
 		n := fleet.NewNode(cfg)
 		n.Start()
 		t.Cleanup(n.Close)
 		if err := n.WaitDigest(p.Digest(), 10*time.Second); err != nil {
 			t.Fatal(err)
 		}
-		return member{vm: vm, agent: agent}
+		return vm
 	}
 	src, dst := mk(srcID), mk(dstID)
 	srcM, dstM := p.MemberWithNode(srcID), p.MemberWithNode(dstID)
@@ -217,9 +216,9 @@ func TestPlaneMigrateCrossShard(t *testing.T) {
 		t.Fatal("precondition: the two nodes must have sessions on two different live shards")
 	}
 
-	src.vm.Runtime.Enable()
-	src.vm.StartApp(app, 1, 40)
-	if err := src.vm.RunUntilDead(2_000_000_000); err != nil {
+	src.Runtime.Enable()
+	src.StartApp(app, 1, 40)
+	if err := src.RunUntilDead(2_000_000_000); err != nil {
 		t.Fatal(err)
 	}
 
@@ -230,17 +229,46 @@ func TestPlaneMigrateCrossShard(t *testing.T) {
 	if mr.ImageBytes == 0 {
 		t.Fatal("empty migration image")
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for src.agent.Frozen(app.Name) {
-		if time.Now().After(deadline) {
-			t.Fatal("source commit never landed")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if got := src.vm.Runtime.ViewIndex(app.Name); got != core.FullView {
+	if got := src.Runtime.ViewIndex(app.Name); got != core.FullView {
 		t.Fatalf("source still binds the view (%d)", got)
 	}
-	if got := dst.vm.Runtime.ViewIndex(app.Name); got == core.FullView {
+	if got := dst.Runtime.ViewIndex(app.Name); got == core.FullView {
 		t.Fatal("target did not bind the migrated view")
+	}
+	wantMigrateCounts(t, p, 1, 0)
+
+	// The source no longer holds the app, so it refuses a second move.
+	if _, err := p.Migrate(app.Name, srcID, dstID, 10*time.Second); err == nil {
+		t.Fatal("a second move of a migrated app succeeded")
+	}
+	wantMigrateCounts(t, p, 1, 1)
+}
+
+// wantMigrateCounts checks the plane's migration counters, summed over the
+// live members' metrics.
+func wantMigrateCounts(t *testing.T, p *Plane, commits, failures float64) {
+	t.Helper()
+	sum := map[string]float64{}
+	for _, id := range p.Alive() {
+		m, _ := p.Member(id)
+		var sb strings.Builder
+		m.Server().WriteMetrics(telemetry.NewMetricsWriter(&sb))
+		for _, line := range strings.Split(sb.String(), "\n") {
+			f := strings.Fields(line)
+			if len(f) != 2 || strings.HasPrefix(line, "#") {
+				continue
+			}
+			v, err := strconv.ParseFloat(f[1], 64)
+			if err != nil {
+				t.Fatalf("metric line %q: %v", line, err)
+			}
+			sum[f[0]] += v
+		}
+	}
+	if got := sum["facechange_fleet_migrations_total"]; got != commits {
+		t.Errorf("facechange_fleet_migrations_total = %v over the plane, want %v", got, commits)
+	}
+	if got := sum["facechange_fleet_migrate_failures_total"]; got != failures {
+		t.Errorf("facechange_fleet_migrate_failures_total = %v over the plane, want %v", got, failures)
 	}
 }

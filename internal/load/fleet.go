@@ -3,7 +3,6 @@ package load
 import (
 	"fmt"
 	"math/rand"
-	"net"
 	"time"
 
 	"facechange"
@@ -28,17 +27,17 @@ func (t teeEmitter) Emit(ev telemetry.Event) {
 }
 
 // runFleet is the fleet drive mode: instead of loading views locally,
-// the view material is published to an in-process control-plane server;
+// the view material is published to an in-process control plane;
 // cfg.Nodes runtime VMs join as fleet nodes over pipes, delta-sync the
 // catalog through one shared chunk store, and are then driven through the
 // same replay engine — exercising switch and recovery under views that
 // arrived over the wire, with telemetry relayed to the central hub.
 //
-// With cfg.Shards > 1 the single server becomes a sharded plane: the
+// The plane has max(cfg.Shards, 1) shards. With more than one, the
 // catalog is partitioned onto a consistent-hash ring and replicated by
-// the mirror mesh, each node homes onto its ring shard through an
-// auto-discovering dialer, and telemetry takes the shard-local-then-relay
-// path into the aggregator. The replay is byte-identical either way.
+// the mirror mesh, each node homes onto its ring shard, and telemetry
+// takes the shard-local-then-relay path into the aggregator. The replay
+// is byte-identical either way.
 func runFleet(cfg *RunConfig) (*Report, error) {
 	cfg.Runtimes = cfg.Nodes
 	if cfg.Runtimes > len(cfg.Trace.Shares) {
@@ -53,72 +52,24 @@ func runFleet(cfg *RunConfig) (*Report, error) {
 	hub.Start()
 	defer hub.Close()
 
-	// nodeWiring resolves per-node connectivity: a shared pipe dialer on
-	// the single server, a per-node homing dialer on a plane.
-	type nodeWiring struct {
-		dial  func() (net.Conn, error)
-		onMap func(fleet.ShardMap)
+	infos := make([]fleet.ShardInfo, max(cfg.Shards, 1))
+	for i := range infos {
+		infos[i].ID = fmt.Sprintf("s-%d", i)
 	}
-	var (
-		wire       func(nodeID string) nodeWiring
-		digest     string
-		pending    func() int // undelivered telemetry beyond the node buffers
-		migrateVia func(app, src, dst string) (*fleet.MigrateResult, error)
-	)
-	if cfg.Shards > 1 {
-		infos := make([]fleet.ShardInfo, cfg.Shards)
-		for i := range infos {
-			infos[i] = fleet.ShardInfo{ID: fmt.Sprintf("s-%d", i)}
-		}
-		plane, err := fleetshard.NewPlane(fleetshard.PlaneConfig{Shards: infos, Hub: hub, Logf: cfg.Logf})
-		if err != nil {
-			return nil, fmt.Errorf("load: plane: %w", err)
-		}
-		defer plane.Close()
-		for _, spec := range specs {
-			if err := plane.Publish(spec.cfg); err != nil {
-				return nil, fmt.Errorf("load: publish %s: %w", spec.name, err)
-			}
-		}
-		if err := plane.WaitConverged(30 * time.Second); err != nil {
-			return nil, fmt.Errorf("load: %w", err)
-		}
-		digest = plane.Digest()
-		wire = func(nodeID string) nodeWiring {
-			h := plane.NodeDialer(nodeID)
-			return nodeWiring{dial: h.Dial, onMap: h.OnShardMap}
-		}
-		pending = func() int {
-			n := 0
-			for _, id := range plane.Alive() {
-				if m, ok := plane.Member(id); ok {
-					n += m.QueueLen()
-				}
-			}
-			return n
-		}
-		migrateVia = func(app, src, dst string) (*fleet.MigrateResult, error) {
-			return plane.Migrate(app, src, dst, 10*time.Second)
-		}
-	} else {
-		srv := fleet.NewServer(fleet.ServerConfig{Hub: hub, Logf: cfg.Logf})
-		for _, spec := range specs {
-			if err := srv.Publish(spec.cfg); err != nil {
-				return nil, fmt.Errorf("load: publish %s: %w", spec.name, err)
-			}
-		}
-		digest = srv.Catalog().Manifest().DigestString()
-		dial := func() (net.Conn, error) {
-			c, s := net.Pipe()
-			go srv.ServeConn(s)
-			return c, nil
-		}
-		wire = func(string) nodeWiring { return nodeWiring{dial: dial} }
-		pending = func() int { return 0 }
-		migrateVia = func(app, src, dst string) (*fleet.MigrateResult, error) {
-			return srv.Migrate(app, src, dst, 10*time.Second)
+	plane, err := fleetshard.NewPlane(fleetshard.PlaneConfig{Shards: infos, Hub: hub, Logf: cfg.Logf})
+	if err != nil {
+		return nil, fmt.Errorf("load: plane: %w", err)
+	}
+	defer plane.Close()
+	for _, spec := range specs {
+		if err := plane.Publish(spec.cfg); err != nil {
+			return nil, fmt.Errorf("load: publish %s: %w", spec.name, err)
 		}
 	}
+	if err := plane.WaitConverged(30 * time.Second); err != nil {
+		return nil, fmt.Errorf("load: %w", err)
+	}
+	digest := plane.Digest()
 
 	store := fleet.NewChunkStore()
 	var opts *core.Options
@@ -132,9 +83,8 @@ func runFleet(cfg *RunConfig) (*Report, error) {
 	opts.SharedCore = cfg.SharedCore
 
 	type member struct {
-		g     *rig
-		node  *fleet.Node
-		agent *migrate.Agent
+		g    *rig
+		node *fleet.Node
 	}
 	members := make([]member, 0, cfg.Runtimes)
 	flt := &FleetReport{Nodes: cfg.Runtimes, CatalogDigest: digest, Converged: true}
@@ -156,15 +106,14 @@ func runFleet(cfg *RunConfig) (*Report, error) {
 			return nil, fmt.Errorf("load: node %d: %w", i, err)
 		}
 		id := fmt.Sprintf("load-%d", i)
-		w := wire(id)
-		agent := migrate.NewAgent(vm.Runtime, nil)
+		h := plane.NodeDialer(id)
 		n := fleet.NewNode(fleet.NodeConfig{
 			ID:            id,
-			Dial:          w.dial,
-			OnShardMap:    w.onMap,
+			Dial:          h.Dial,
+			OnShardMap:    h.OnShardMap,
 			Store:         store,
 			Runtime:       vm.Runtime,
-			Migrate:       agent,
+			Migrate:       migrate.NewAgent(vm.Runtime, nil),
 			FlushInterval: 5 * time.Millisecond,
 			Logf:          cfg.Logf,
 		})
@@ -192,7 +141,7 @@ func runFleet(cfg *RunConfig) (*Report, error) {
 			g.addApp(spec, idx)
 		}
 		cfg.Logf("load: node %d joined (%d bytes in)", i, n.Status().BytesIn)
-		members = append(members, member{g: g, node: n, agent: agent})
+		members = append(members, member{g: g, node: n})
 	}
 
 	// assign maps each app to the node currently hosting it; migration
@@ -255,18 +204,9 @@ func runFleet(cfg *RunConfig) (*Report, error) {
 		src := assign[appIdx]
 		dst := (src + 1 + mrng.Intn(cfg.Runtimes-1)) % cfg.Runtimes
 		spec := specs[appIdx]
-		mr, err := migrateVia(spec.name, fmt.Sprintf("load-%d", src), fmt.Sprintf("load-%d", dst))
+		mr, err := plane.Migrate(spec.name, fmt.Sprintf("load-%d", src), fmt.Sprintf("load-%d", dst), 10*time.Second)
 		if err != nil {
 			return nil, fmt.Errorf("load: migrate %s load-%d>load-%d: %w", spec.name, src, dst, err)
-		}
-		// The commit directive is delivered asynchronously; wait for the
-		// source to actually tear the view down so the final cache numbers
-		// are deterministic.
-		for deadline := time.Now().Add(5 * time.Second); members[src].agent.Frozen(spec.name); {
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("load: migrate %s: source commit never landed", spec.name)
-			}
-			time.Sleep(2 * time.Millisecond)
 		}
 		st := members[src].g.apps[uint8(appIdx)]
 		delete(members[src].g.apps, uint8(appIdx))
@@ -285,27 +225,15 @@ func runFleet(cfg *RunConfig) (*Report, error) {
 			spec.name, src, dst, mr.ImageBytes, mr.DeltasApplied, mr.DeltasSkipped)
 	}
 	results := make([]*runtimeResult, cfg.Runtimes)
+	nodes := make([]*fleet.Node, len(members))
 	for i, m := range members {
-		results[i] = m.g.res
-	}
-
-	// Let the relay buffers — and, on a plane, the shard relay queues —
-	// drain into the hub before counting.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		left := pending()
-		for _, m := range members {
-			left += m.node.Telemetry().Len()
-		}
-		if left == 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	for _, m := range members {
+		results[i], nodes[i] = m.g.res, m.node
 		if m.node.Digest() != digest {
 			flt.Converged = false
 		}
+	}
+	if err := fleet.WaitRelayed(30*time.Second, nodes...); err != nil {
+		return nil, fmt.Errorf("load: %w", err)
 	}
 	hub.Drain()
 	flt.RelayedEvents = hub.Emitted()

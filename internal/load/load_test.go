@@ -234,14 +234,14 @@ func TestFleetRun(t *testing.T) {
 // TestFleetRunSharded drives the same trace through a 3-shard plane and
 // pins the equivalence contract: sharding changes the control-plane
 // topology — ring-partitioned catalog, homing dialers, relay path — but
-// never the replay, so the report digest matches the single-server fleet
-// run and the telemetry accounting at the aggregator is identical.
+// never the replay, so the report digest matches the one-shard fleet run
+// and the telemetry accounting at the aggregator is identical.
 func TestFleetRunSharded(t *testing.T) {
 	tr, err := GenTrace(TraceConfig{Seed: 6, Events: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := Run(RunConfig{Trace: tr, Nodes: 2})
+	single, err := Run(RunConfig{Trace: tr, Nodes: 2}) // one shard
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,11 +256,11 @@ func TestFleetRunSharded(t *testing.T) {
 		t.Fatal("sharded fleet did not converge on the catalog digest")
 	}
 	if sharded.ReportDigest != single.ReportDigest {
-		t.Fatalf("sharding changed the replay: digest %s != single-server %s",
+		t.Fatalf("sharding changed the replay: digest %s != one-shard %s",
 			sharded.ReportDigest, single.ReportDigest)
 	}
 	if sharded.Fleet.RelayedEvents != single.Fleet.RelayedEvents {
-		t.Fatalf("relay path lost or duplicated events: %d relayed, single-server saw %d",
+		t.Fatalf("relay path lost or duplicated events: %d relayed, one shard saw %d",
 			sharded.Fleet.RelayedEvents, single.Fleet.RelayedEvents)
 	}
 	if sharded.Fleet.RelayedEvents == 0 {

@@ -34,15 +34,16 @@ type RunConfig struct {
 	// of the default synthetic deterministic views.
 	Profile bool
 	// Nodes switches to fleet mode: views are published to an in-process
-	// control-plane server and Nodes runtime VMs join, sync the catalog,
-	// and are driven through the fleet node API (overrides Runtimes).
+	// control plane and Nodes runtime VMs join, sync the catalog, and are
+	// driven through the fleet node API (overrides Runtimes).
 	Nodes int
-	// Shards, when >1 in fleet mode, partitions the control plane into a
-	// sharded multi-server plane: views are published onto the consistent-
-	// hash ring, nodes auto-discover the topology through homing dialers,
-	// and telemetry relays shard-local then hub-to-hub into the aggregator.
-	// The replay itself is identical, so the report digest matches the
-	// single-server fleet run for the same trace.
+	// Shards is the fleet-mode control plane's shard count; 0 and 1 both
+	// mean one shard, a single server. With more, views are published
+	// onto the consistent-hash ring, nodes auto-discover the topology
+	// through homing dialers, and telemetry relays shard-local then
+	// hub-to-hub into the aggregator. The replay itself is identical, so
+	// the report digest matches the one-shard fleet run for the same
+	// trace.
 	Shards int
 	// MigrateRate, in fleet mode, live-migrates applications between nodes
 	// mid-replay: per 1000 trace events, this many migrations fire at

@@ -28,15 +28,6 @@ func NewAgent(rt *core.Runtime, evo *evolve.Evolver) *Agent {
 	return &Agent{rt: rt, evo: evo, frozen: make(map[string]*core.FrozenView)}
 }
 
-// Frozen reports whether an app is currently checkpointed and awaiting a
-// commit-or-abort decision.
-func (a *Agent) Frozen(app string) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	_, ok := a.frozen[app]
-	return ok
-}
-
 // Freeze checkpoints the app: its view detaches from every vCPU (each
 // reverts to the full kernel view, so the guest keeps running) while all
 // view state — deltas, recovered spans, bindings — is held for export.
@@ -90,9 +81,7 @@ func (a *Agent) Commit(app string) error { return a.settle(app, a.rt.CommitMigra
 // deferred switches re-arm, active vCPUs re-install the view.
 func (a *Agent) Abort(app string) error { return a.settle(app, a.rt.ThawView) }
 
-// settle applies the commit-or-abort decision to a frozen app. The lock
-// spans the runtime call, so Frozen reports false only once the decision
-// has landed: a caller that waits for it may then drive the runtime.
+// settle applies the commit-or-abort decision to a frozen app.
 func (a *Agent) settle(app string, apply func(*core.FrozenView) error) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
